@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okc",
         description="Streaming one-class classification with sliding-window regularized kernel models.",
-        epilog="OKC_THREADS caps internal parallelism (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -254,18 +254,19 @@ def run_stream(stream, cfg: RunConfig) -> EvalReport:
 
     first = int(init_pos[-1]) + 1
     predicted = np.empty(len(stream) - first, dtype=int)
-    scored_scores = np.empty(len(stream) - first)
     start = first
 
     def flush(end: int) -> None:
+        # score in blocks of at most cfg.window rows, so the query x window
+        # kernel block never outgrows the window's own Gram matrix
         nonlocal start
-        if end > start:
+        while start < end:
+            stop = min(end, start + cfg.window)
             t = time.perf_counter()
-            s = model.scores(X[start:end])
+            s = model.scores(X[start:stop])
             timing["test_s"] += time.perf_counter() - t
-            scored_scores[start - first : end - first] = s
-            predicted[start - first : end - first] = model.labels_for(s)
-        start = end
+            predicted[start - first : stop - first] = model.labels_for(s)
+            start = stop
 
     if cfg.mode == "sliding":
         pending: list[int] = []

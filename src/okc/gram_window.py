@@ -59,12 +59,17 @@ def track_inversions():
         _inversion_log = previous
 
 
+def condition_1(a: np.ndarray, inv: np.ndarray) -> float:
+    """``norm1(a) * norm1(inv)``: the 1-norm condition number of ``a``, given its inverse."""
+    return float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+
+
 def _invert(a: np.ndarray, what: str) -> np.ndarray:
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} is singular") from exc
-    cond = np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    cond = condition_1(a, inv)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(f"{what} is ill-conditioned (cond_1 estimate {cond:.3e})")
     if _inversion_log is not None:

@@ -2,9 +2,16 @@
 
 Everything downstream (window maintenance, classifiers, model selection)
 funnels its kernel arithmetic through this module, so the functions here are
-deliberately strict: they validate shapes, reject non-finite input, and use
-``scipy.spatial.distance`` so that ``gram(X, Y)`` and ``gram(Y, X)`` are exact
-transposes of each other.
+deliberately strict: they validate shapes and reject non-finite input.
+
+Squared distances are accumulated one feature at a time, ``sum_k (x_k -
+y_k)^2`` in feature order, which is the arithmetic of
+``scipy.spatial.distance.cdist(..., "sqeuclidean")`` and gives the same bits
+without importing ``scipy.spatial`` (most of the package's import time). Every
+entry depends only on its own pair of rows and ``(a - b)^2 == (b - a)^2``
+exactly, so ``gram(X, Y)`` is the exact transpose of ``gram(Y, X)``, a block of
+a Gram matrix equals the Gram matrix of the block's rows, and the self-Gram
+diagonal is exactly 1.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateDataError, DimensionError, InvalidInputError
 
@@ -57,6 +63,17 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
+def _squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``d2[i, j] = sum_k (X[i, k] - Y[j, k])^2``, accumulated in feature order."""
+    d2 = np.zeros((X.shape[0], Y.shape[0]))
+    diff = np.empty_like(d2)
+    for k in range(X.shape[1]):
+        np.subtract(X[:, k, None], Y[None, :, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    return d2
+
+
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for two vectors.
 
@@ -80,9 +97,8 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix with entry (i, j) = k(X_i, Y_j).
 
-    With ``Y`` omitted (or equal to ``X``) the symmetric path is used: only
-    the upper triangle is computed and mirrored, so the result is exactly
-    symmetric with an exact unit diagonal.
+    With ``Y`` omitted (or equal to ``X``) the result is exactly symmetric
+    with an exact unit diagonal.
 
     Raises
     ------
@@ -92,19 +108,18 @@ def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     X = _as_matrix(X, "X")
     if Y is None:
         Y = X
-    symmetric = Y is X
-    if not symmetric:
+    else:
         Y = _as_matrix(Y, "Y")
         if X.shape[1] != Y.shape[1]:
             raise DimensionError(
                 f"feature dimensions differ: X has {X.shape[1]}, Y has {Y.shape[1]}"
             )
-        symmetric = X.shape == Y.shape and np.array_equal(X, Y)
-    denom = 2.0 * spec.sigma**2
-    if symmetric:
-        d2 = squareform(pdist(X, "sqeuclidean"))
-        return np.exp(-d2 / denom)
-    return np.exp(-cdist(X, Y, "sqeuclidean") / denom)
+    # exp(-d2 / (2 sigma^2)) in place; negation is exact, so the bits match
+    # the out-of-place expression
+    k = _squared_distances(X, Y)
+    np.negative(k, out=k)
+    k /= 2.0 * spec.sigma**2
+    return np.exp(k, out=k)
 
 
 def pairwise_distance_range(X) -> tuple[float, float]:
@@ -121,8 +136,8 @@ def pairwise_distance_range(X) -> tuple[float, float]:
     X = _as_matrix(X, "X")
     if X.shape[0] < 2:
         raise DegenerateDataError("need at least 2 samples to measure pairwise distances")
-    d2 = pdist(X, "sqeuclidean")
-    d2 = d2[d2 > 0.0]
+    d2 = _squared_distances(X, X)
+    d2 = d2[d2 > 0.0]  # drops the diagonal and duplicated rows
     if d2.size == 0:
         raise DegenerateDataError("all samples are identical; pairwise distances are all zero")
     return float(np.sqrt(d2.min())), float(np.sqrt(d2.max()))

@@ -186,21 +186,68 @@ def to_snapshot(model: _WindowedModel) -> dict:
     return doc
 
 
+_SNAPSHOT_KEYS = ("framework", "kernel", "lambda", "eta", "theta", "window")
+
+
+def _finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"snapshot {name} must be a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise InvalidInputError(f"snapshot {name} must be finite, got {value!r}")
+    return x
+
+
+def _snapshot_window(rows) -> np.ndarray:
+    try:
+        window = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("snapshot window must be a rectangular list of numeric rows") from None
+    if window.ndim != 2 or window.size == 0:
+        raise InvalidInputError(f"snapshot window must be a non-empty 2-D list, got shape {window.shape}")
+    if not np.isfinite(window).all():
+        raise InvalidInputError("snapshot window contains NaN or Inf")
+    return window
+
+
 def from_snapshot(doc: dict) -> _WindowedModel:
-    """Rebuild a model from :func:`to_snapshot` output."""
+    """Rebuild a model from :func:`to_snapshot` output.
+
+    Raises
+    ------
+    InvalidInputError
+        If the document is not a version-1 snapshot: a key is missing, the
+        kernel is not an object, the window is ragged, empty or non-finite, or
+        a scalar is not a finite number.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"snapshot must be a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
         raise InvalidInputError(f"unsupported snapshot format_version: {version!r}")
-    kernel = KernelSpec(doc["kernel"]["kind"], doc["kernel"]["sigma"])
-    state = RegGramState(np.asarray(doc["window"], dtype=float), doc["lambda"], kernel)
+    missing = [k for k in _SNAPSHOT_KEYS if k not in doc]
+    if missing:
+        raise InvalidInputError(f"snapshot lacks {', '.join(missing)}")
+    spec = doc["kernel"]
+    if not isinstance(spec, dict) or not {"kind", "sigma"} <= spec.keys():
+        raise InvalidInputError(f"snapshot kernel must be an object with kind and sigma, got {spec!r}")
+    kernel = KernelSpec(spec["kind"], _finite(spec["sigma"], "kernel sigma"))
+    lam = _finite(doc["lambda"], "lambda")
+    if lam <= 0:
+        raise InvalidInputError(f"snapshot lambda must be positive, got {lam!r}")
+    eta = _finite(doc["eta"], "eta")
+    theta = _finite(doc["theta"], "theta")
+    state = RegGramState(_snapshot_window(doc["window"]), lam, kernel)
     if doc["framework"] == "boundary":
-        model: _WindowedModel = BoundaryModel(state, doc["eta"], doc.get("target_value", 1.0))
+        target = _finite(doc.get("target_value", 1.0), "target_value")
+        model: _WindowedModel = BoundaryModel(state, eta, target)
     elif doc["framework"] == "reconstruction":
-        model = ReconstructionModel(state, doc["eta"])
+        model = ReconstructionModel(state, eta)
     else:
         raise InvalidInputError(f"unknown framework: {doc['framework']!r}")
     # the stored threshold is authoritative for the snapshot
-    model.theta = float(doc["theta"])
+    model.theta = theta
     return model
 
 

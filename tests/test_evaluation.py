@@ -19,7 +19,9 @@ from okc import (
     run_stream,
     stepwise_accuracy,
 )
+import okc.models
 from okc.evaluation import batch_sizes
+from okc.models import BoundaryModel, ReconstructionModel, fit_reconstruction
 from okc.streams import features_of, labels_of
 
 
@@ -215,6 +217,43 @@ def test_stream_sliding_times_all_phases():
     assert rep.timing["forget_s"] > 0.0
     assert rep.timing["train_s"] > 0.0
     assert rep.timing["test_s"] > 0.0
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_stream_static_scores_in_window_sized_blocks(monkeypatch, framework):
+    # static mode scores the whole rest of the stream after one fit; it must
+    # do so in kernel blocks no taller than the window, with the labels of a
+    # single-batch scoring
+    stream = drifting_stream(2000, seed=31)
+    cfg = stream_cfg("static", framework=framework, window=60)
+    rows, labels = [], []
+    real_gram = okc.models.gram
+
+    def recording_gram(spec, X, Y=None):
+        rows.append(len(X))
+        return real_gram(spec, X, Y)
+
+    model_cls = BoundaryModel if framework == "boundary" else ReconstructionModel
+    real_labels_for = model_cls.labels_for
+
+    def recording_labels_for(self, scores):
+        out = real_labels_for(self, scores)
+        labels.append(out)
+        return out
+
+    monkeypatch.setattr(okc.models, "gram", recording_gram)
+    monkeypatch.setattr(model_cls, "labels_for", recording_labels_for)
+    run_stream(stream, cfg)
+    monkeypatch.undo()
+
+    X, y = features_of(stream), labels_of(stream)
+    init = np.flatnonzero(y == 1)[: cfg.window]
+    fit = fit_boundary if framework == "boundary" else fit_reconstruction
+    model = fit(RegGramState(X[init], cfg.lam, KernelSpec(sigma=cfg.sigma)), cfg.eta)
+    rest = X[int(init[-1]) + 1 :]
+    assert len(rows) > 1 and max(rows) <= cfg.window
+    assert sum(rows) == len(rest)
+    assert np.array_equal(np.concatenate(labels), model.labels_for(model.scores(rest)))
 
 
 def test_stream_too_short():

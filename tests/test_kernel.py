@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,39 @@ def test_gram_cross_transpose_exact():
     spec = KernelSpec(sigma=0.9)
     X, Y = rng.normal(size=(8, 5)), rng.normal(size=(13, 5))
     assert np.array_equal(gram(spec, X, Y), gram(spec, Y, X).T)
+
+
+@pytest.mark.parametrize("rows_x, rows_y, dims", [(1000, 50, 2), (300, 150, 5), (64, 64, 8), (37, 53, 50)])
+def test_gram_bitwise_equal_to_scipy_cdist(rows_x, rows_y, dims):
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    rng = np.random.default_rng(rows_x + dims)
+    X, Y = rng.normal(size=(rows_x, dims)) * 3.0, rng.normal(size=(rows_y, dims))
+    spec = KernelSpec(sigma=0.7)
+    denom = 2.0 * 0.7**2
+    assert np.array_equal(gram(spec, X, Y), np.exp(-cdist(X, Y, "sqeuclidean") / denom))
+    assert np.array_equal(gram(spec, X), np.exp(-cdist(X, X, "sqeuclidean") / denom))
+
+
+def test_pairwise_distance_range_matches_scipy_pdist():
+    pdist = pytest.importorskip("scipy.spatial.distance").pdist
+    X = np.random.default_rng(10).normal(size=(200, 3))
+    d2 = pdist(X, "sqeuclidean")
+    assert pairwise_distance_range(X) == (np.sqrt(d2.min()), np.sqrt(d2.max()))
+
+
+def test_gram_block_equals_gram_of_block_rows():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 3))
+    G = gram(KernelSpec(sigma=1.1), X)
+    rows, cols = rng.permutation(40)[:15], rng.permutation(40)[:25]
+    assert np.array_equal(G[np.ix_(rows, cols)], gram(KernelSpec(sigma=1.1), X[rows], X[cols]))
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    code = "import sys, okc; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_gram_equal_arrays_take_symmetric_path():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,71 @@ def test_snapshot_theta_is_authoritative():
     doc = to_snapshot(m)
     doc["theta"] = 123.0
     assert from_snapshot(doc).theta == 123.0
+
+
+def snapshot_doc():
+    return to_snapshot(fit_boundary(make_state(np.random.default_rng(20), 10), 0.1))
+
+
+@pytest.mark.parametrize("key", ["framework", "kernel", "lambda", "eta", "theta", "window"])
+def test_snapshot_missing_key(key):
+    doc = snapshot_doc()
+    del doc[key]
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+@pytest.mark.parametrize("kernel", [1.5, "rbf", [1.0], None, {"kind": "rbf"}])
+def test_snapshot_kernel_not_an_object(kernel):
+    doc = snapshot_doc()
+    doc["kernel"] = kernel
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+def test_snapshot_ragged_window():
+    doc = snapshot_doc()
+    doc["window"][3] = doc["window"][3][:1]
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+@pytest.mark.parametrize("window", [[], [[]]])
+def test_snapshot_empty_window(window):
+    doc = snapshot_doc()
+    doc["window"] = window
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_snapshot_non_finite_window(bad):
+    doc = snapshot_doc()
+    doc["window"][2][1] = bad
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+@pytest.mark.parametrize("key", ["theta", "lambda", "eta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+def test_snapshot_non_finite_scalar(key, bad):
+    doc = snapshot_doc()
+    doc[key] = bad
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+@pytest.mark.parametrize("lam", [0.0, -10.0])
+def test_snapshot_non_positive_lambda(lam):
+    doc = snapshot_doc()
+    doc["lambda"] = lam
+    with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+def test_snapshot_loaded_from_json_with_nan_theta(tmp_path):
+    # JSON documents may spell NaN; load_model must still refuse them
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(snapshot_doc() | {"theta": float("nan")}))
+    with pytest.raises(InvalidInputError):
+        load_model(path)

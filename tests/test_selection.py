@@ -3,8 +3,11 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+import okc.gram_window
+import okc.selection
 from okc import (
     DegenerateDataError,
+    IllConditionedError,
     InsufficientDataError,
     InvalidInputError,
     KernelSpec,
@@ -14,11 +17,13 @@ from okc import (
     consistency_threshold,
     fit_boundary,
     fit_reconstruction,
+    gram,
     lambda_grid,
     pairwise_distance_range,
     select,
     sigma_grid,
 )
+from okc.selection import _first_copies, _fold_errors
 
 
 # ---- consistency threshold -------------------------------------------------
@@ -115,6 +120,128 @@ def blob(n=200, seed=0):
     return np.random.default_rng(seed).normal(size=(n, 2))
 
 
+# ---- dense reference: every candidate fit from scratch ---------------------
+
+
+def dense_fold_error(X, train, held_out, framework, lam, sigma, eta):
+    """Held-out rejection of a model fitted on ``X[train]``; raises
+    IllConditionedError as the fit does."""
+    fit = fit_boundary if framework == "boundary" else fit_reconstruction
+    model = fit(RegGramState(X[train], lam, KernelSpec(sigma=sigma)), eta)
+    return float(np.mean(model.labels_for(model.scores(X[held_out])) == -1))
+
+
+def dense_cv_error(X, folds, framework, lam, sigma, eta):
+    """Mean held-out rejection of fitted models; inf if any fold's regularized
+    Gram fails the fit's condition rule."""
+    errs = []
+    for i, held_out in enumerate(folds):
+        train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        try:
+            errs.append(dense_fold_error(X, train, held_out, framework, lam, sigma, eta))
+        except IllConditionedError:
+            return float("inf")
+    return float(np.mean(errs))
+
+
+def dense_select(X, framework, cfg, seed):
+    """The consistency scan with a dense fit per candidate and fold."""
+    X = np.asarray(X, dtype=float)
+    folds = np.array_split(np.random.default_rng(seed).permutation(len(X)), cfg.folds)
+    e_thr = consistency_threshold(len(X) // cfg.folds, cfg.eta, cfg.sigma_thr)
+    sigmas = cfg.sigmas if cfg.sigmas is not None else sigma_grid(X)
+    best = None
+    for sigma in sorted(sigmas):
+        for lam in sorted(cfg.lambdas, reverse=True):
+            err = dense_cv_error(X, folds, framework, lam, sigma, cfg.eta)
+            if err <= e_thr:
+                return SelectionResult(lam, float(sigma), err, e_thr, True)
+            if best is None or err < best.cv_error:
+                best = SelectionResult(lam, float(sigma), err, e_thr, False)
+    return best
+
+
+def assert_same_selection(got, want):
+    assert (got.lam, got.sigma, got.consistent) == (want.lam, want.sigma, want.consistent)
+    assert got.cv_error == pytest.approx(want.cv_error, abs=1e-12)
+    assert got.e_thr == want.e_thr
+
+
+def oracle_cv_error(X, folds, framework, lam, sigma, eta, digits=30):
+    """Mean held-out rejection with every score computed in ``digits``-digit
+    arithmetic from the float inputs: the exact answer the two float paths
+    approximate."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def k_row(z, Xt):
+        return [mp.exp(-mp.fsum((mp.mpf(float(a)) - mp.mpf(float(b))) ** 2 for a, b in zip(z, x))
+                       / (2 * mp.mpf(float(sigma)) ** 2))
+                for x in Xt]
+
+    def solve(A, B):
+        # Gaussian elimination with partial pivoting on lists of rows
+        n = len(A)
+        M = [a + b for a, b in zip(A, B)]
+        for c in range(n):
+            p = max(range(c, n), key=lambda r: abs(M[r][c]))
+            M[c], M[p] = M[p], M[c]
+            for r in range(c + 1, n):
+                f = M[r][c] / M[c][c]
+                M[r][c:] = [x - f * y for x, y in zip(M[r][c:], M[c][c:])]
+        sol = [None] * n
+        for r in reversed(range(n)):
+            sol[r] = [(v - mp.fsum(M[r][j] * sol[j][k] for j in range(r + 1, n))) / M[r][r]
+                      for k, v in enumerate(M[r][n:])]
+        return sol
+
+    errs = []
+    with mp.workdps(digits):
+        for i, held_out in enumerate(folds):
+            train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+            Xt, Xc = X[train], X[held_out]
+            n = len(Xt)
+            Kt = [k_row(x, Xt) for x in Xt]
+            phi = [[v + (1 / mp.mpf(lam) if a == b else 0) for b, v in enumerate(row)]
+                   for a, row in enumerate(Kt)]
+            if framework == "boundary":
+                beta = [row[0] for row in solve(phi, [[mp.mpf(1)]] * n)]
+
+                def score(z, kz):
+                    return abs(mp.fsum(kb * b for kb, b in zip(kz, beta)) - 1)
+            else:
+                B = solve(phi, [[mp.mpf(float(v)) for v in x] for x in Xt])
+
+                def score(z, kz):
+                    return mp.fsum((z[c] - mp.fsum(kb * Bb[c] for kb, Bb in zip(kz, B))) ** 2
+                                   for c in range(len(z)))
+            # one formula for training and held-out rows, so that equal rows
+            # get identical scores and their ties with theta stay ties
+            train_scores = [score(x, kx) for x, kx in zip(Xt, Kt)]
+            theta = sorted(train_scores, reverse=True)[max(int(np.floor(eta * n)) - 1, 0)]
+            errs.append(sum(score(z, k_row(z, Xt)) > theta for z in Xc) / len(Xc))
+    return float(np.mean(errs))
+
+
+def corpus_dataset(rng, duplicates=False):
+    """A small target set: blob, ring or uniform box, sometimes rescaled;
+    with ``duplicates``, about a fifth of its rows are copies of others."""
+    n = int(rng.integers(20, 61))
+    dims = int(rng.integers(1, 5))
+    kind = rng.integers(3)
+    if kind == 0:
+        X = rng.normal(size=(n, dims))
+    elif kind == 1:
+        X = rng.normal(size=(n, dims))
+        X *= (1.0 + rng.random((n, 1))) / np.linalg.norm(X, axis=1, keepdims=True)
+    else:
+        X = rng.random((n, dims))
+    if rng.random() < 0.3:
+        X *= 10.0 ** rng.integers(-3, 4)
+    if duplicates:
+        X[rng.integers(n, size=n // 5)] = X[rng.integers(n, size=n // 5)]
+    return X
+
+
 def test_select_blob_is_consistent_and_rejects_about_eta():
     X = blob()
     res = select(X, "boundary", SelectionConfig(eta=0.05), seed=0)
@@ -164,13 +291,13 @@ def test_select_all_inconsistent_falls_back_to_min_error():
     assert (res.lam, res.sigma) == (1e4, 1e-4)
 
 
-def test_select_deterministic_and_parallel_invariant():
+def test_select_deterministic_and_matches_dense_reference():
     X = blob(80, seed=9)
     cfg = SelectionConfig(folds=3, eta=0.1, lambdas=[1e-1, 10.0], sigmas=[0.3, 1.0, 3.0])
     a = select(X, "boundary", cfg, seed=11)
     b = select(X, "boundary", cfg, seed=11)
-    c = select(X, "boundary", cfg, seed=11, workers=4)
-    assert a == b == c
+    assert a == b
+    assert_same_selection(a, dense_select(X, "boundary", cfg, seed=11))
 
 
 def test_select_reconstruction_framework_runs():
@@ -198,3 +325,91 @@ def test_selection_result_json_shape():
     res = SelectionResult(lam=10.0, sigma=0.5, cv_error=0.04, e_thr=0.09, consistent=True)
     doc = res.to_json_dict()
     assert doc == {"lambda": 10.0, "sigma": 0.5, "cv_error": 0.04, "e_thr": 0.09, "consistent": True}
+
+
+# ---- closed-form search against the dense reference ------------------------
+
+
+def corpus_config(rng, X):
+    return SelectionConfig(
+        folds=int(rng.integers(2, 6)),
+        eta=float(rng.choice([0.05, 0.1, 0.2])),
+        lambdas=sorted(rng.choice(lambda_grid(), size=5, replace=False).tolist()),
+        sigmas=list(sigma_grid(X, 5)),
+    )
+
+
+def test_select_matches_dense_reference_on_corpus():
+    # 120 seeded datasets, every third with duplicated rows, each with a
+    # restricted grid, both frameworks. The winner must be the dense
+    # reference's. Where the cv errors differ, the closed form must match the
+    # high-precision oracle: the dense fit computes training scores as
+    # |K beta - 1|, which loses digits when beta is large (lambda near 1e8
+    # with a wide kernel), and breaks by round-off the exact ties between a
+    # held-out copy of a training row and theta.
+    rng = np.random.default_rng(2024)
+    for case in range(120):
+        X = corpus_dataset(rng, duplicates=case % 3 == 2)
+        cfg = corpus_config(rng, X)
+        for framework in ("boundary", "reconstruction"):
+            got = select(X, framework, cfg, seed=case)
+            want = dense_select(X, framework, cfg, seed=case)
+            assert (got.lam, got.sigma, got.consistent) == (want.lam, want.sigma, want.consistent)
+            assert got.e_thr == want.e_thr
+            if got.cv_error == pytest.approx(want.cv_error, abs=1e-12):
+                continue
+            folds = np.array_split(np.random.default_rng(case).permutation(len(X)), cfg.folds)
+            exact = oracle_cv_error(X, folds, framework, got.lam, got.sigma, cfg.eta)
+            assert got.cv_error == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_held_out_copies_score_as_their_training_rows(framework):
+    # Every held-out row copies a training row, so each ties exactly with its
+    # twin's training score, and the held-out rejection equals the training
+    # rejection: with theta the 8th largest of 40 distinct scores, 7 of 40 lie
+    # strictly above it, for every lambda.
+    rng = np.random.default_rng(3)
+    X_t = rng.normal(size=(40, 2))
+    order = rng.permutation(40)
+    X_c = X_t[order]
+    spec = KernelSpec(sigma=0.8)
+    errors = _fold_errors(gram(spec, X_t), gram(spec, X_c, X_t), X_t, X_c, np.arange(40), order,
+                          framework, np.array(lambda_grid()), 0.2)
+    assert errors.tolist() == [7 / 40] * 17
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_condition_rule_matches_dense_fits_in_band(monkeypatch, framework):
+    # With the limit at 1e4 and 40 training rows, the band
+    # cond_2 / n <= 1e4 < n cond_2 holds candidates on both sides of the limit,
+    # so the exact 1-norm product decides there; the closed form must reject
+    # exactly the (fold, lambda) pairs whose dense fit raises.
+    limit = 1e4
+    monkeypatch.setattr(okc.gram_window, "CONDITION_LIMIT", limit)
+    monkeypatch.setattr(okc.selection, "CONDITION_LIMIT", limit)
+    lams = np.array(lambda_grid())
+    band = {"accepted": 0, "rejected": 0}
+    for seed in range(4):
+        X = blob(50, seed=seed)
+        folds = np.array_split(np.random.default_rng(seed).permutation(50), 5)
+        for sigma in sigma_grid(X, 4):
+            K = gram(KernelSpec(sigma=sigma), X)
+            for i, held_out in enumerate(folds):
+                train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+                errors = _fold_errors(K[np.ix_(train, train)], K[np.ix_(held_out, train)],
+                                      X[train], X[held_out], *_first_copies(X, train, held_out),
+                                      framework, lams, 0.1)
+                e = np.linalg.eigvalsh(K[np.ix_(train, train)])
+                for lam, err in zip(lams, errors):
+                    try:
+                        RegGramState(X[train], lam, KernelSpec(sigma=sigma))
+                        dense_ok = True
+                    except IllConditionedError:
+                        dense_ok = False
+                    assert np.isfinite(err) == dense_ok, (seed, sigma, i, lam)
+                    d = e + 1.0 / lam
+                    cond_2 = d.max() / d.min()
+                    if cond_2 / len(train) <= limit < len(train) * cond_2:
+                        band["accepted" if dense_ok else "rejected"] += 1
+    assert band["accepted"] > 0 and band["rejected"] > 0, band
