@@ -269,19 +269,17 @@ def run_stream(stream, cfg: RunConfig) -> EvalReport:
             start = stop
 
     if cfg.mode == "sliding":
-        pending: list[int] = []
-        for pos in range(first, len(stream)):
-            if y[pos] == 1:
-                pending.append(pos)
-                if len(pending) == cfg.chunk:
-                    flush(pos + 1)  # score the chunk-completing sample pre-slide
-                    t = time.perf_counter()
-                    model.forget(cfg.chunk)
-                    timing["forget_s"] += time.perf_counter() - t
-                    t = time.perf_counter()
-                    model.absorb(X[pending])
-                    timing["train_s"] += time.perf_counter() - t
-                    pending = []
+        # the k-th slide happens at the target that completes the k-th chunk
+        # after the initial window
+        for lo in range(cfg.window, target_pos.size - cfg.chunk + 1, cfg.chunk):
+            chunk_pos = target_pos[lo : lo + cfg.chunk]
+            flush(int(chunk_pos[-1]) + 1)  # score the chunk-completing sample pre-slide
+            t = time.perf_counter()
+            model.forget(cfg.chunk)
+            timing["forget_s"] += time.perf_counter() - t
+            t = time.perf_counter()
+            model.absorb(X[chunk_pos])
+            timing["train_s"] += time.perf_counter() - t
     flush(len(stream))
 
     actual = y[first:]

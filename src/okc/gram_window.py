@@ -1,9 +1,10 @@
-"""Sliding-window regularized Gram matrix with exact inverse maintenance.
+"""Sliding-window regularized Gram inverse, maintained exactly.
 
-The state tracked here is ``phi = K(W, W) + (1/lambda) I`` over the current
-window ``W`` together with its inverse ``p``. Growing the window appends a
-block row/column to ``phi`` and updates ``p`` through the Schur complement of
-the new block, so only an s x s matrix is freshly inverted:
+The state tracked here is the window ``W`` and the inverse ``p`` of its
+regularized Gram matrix ``phi = K(W, W) + (1/lambda) I``; ``phi`` itself is
+not stored. Growing the window updates ``p`` through the Schur complement of
+the new block, built from the kernel values of the new samples against the
+window and against each other, so only an s x s matrix is freshly inverted:
 
     S   = Phi_v - Phi_uv^T p Phi_uv
     P22 = S^-1
@@ -16,9 +17,10 @@ block and downdates
 
     p_new = Ri22 - Fi12^T Fi11^-1 Fi12
 
-again inverting only an f x f matrix. Both identities are checked in the test
-suite against ``direct_inverse_oracle``, which rebuilds ``phi`` from scratch
-and inverts it densely.
+again inverting only an f x f matrix. This is the sliding-window kernel RLS
+update (Van Vaerenbergh, Via and Santamaria, 2006). Both identities are checked
+in the test suite against ``direct_inverse_oracle``, which builds ``phi`` from
+the window and inverts it densely.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .kernel import KernelSpec, gram
 # Reject an inversion when norm1(A) * norm1(A^-1) exceeds this.
 CONDITION_LIMIT = 1e14
 
-# When enabled, every extend/retract asserts ||phi @ p - I||_max < 1e-6.
-# The check is a full matrix product (cubic in window size), so it is kept
-# behind a flag instead of a bare assert; tests that exercise the invariant
-# flip it on, timing-sensitive paths leave it off.
+# When enabled, every extend/retract asserts ||phi @ p - I||_max < 1e-6, with
+# phi rebuilt from the window. The check is a full matrix product (cubic in
+# window size), so it is kept behind a flag instead of a bare assert; tests
+# that exercise the invariant flip it on, timing-sensitive paths leave it off.
 DEBUG_CHECKS = os.environ.get("OKC_DEBUG_CHECKS", "") == "1"
 
 _inversion_log: list[int] | None = None
@@ -98,11 +100,13 @@ def direct_inverse_oracle(X, lam: float, kernel: KernelSpec) -> tuple[np.ndarray
 
 
 class RegGramState:
-    """Window samples plus ``phi`` and its maintained inverse ``p``.
+    """Window samples plus the maintained inverse ``p`` of their regularized
+    Gram matrix ``phi = K(window, window) + (1/lam) I``.
 
-    The constructor computes both matrices directly; afterwards ``extend`` and
-    ``retract`` keep them in sync without any full-size inversion. The state
-    is owned by a single writer: both mutators update in place.
+    The constructor inverts ``phi`` directly; afterwards ``extend`` and
+    ``retract`` keep ``p`` in sync with the window without any full-size
+    inversion, and ``phi`` is never stored. The state is owned by a single
+    writer: both mutators update in place.
 
     Parameters
     ----------
@@ -131,23 +135,12 @@ class RegGramState:
         self.window = X0.copy()
         self.refresh_interval = refresh_interval
         self._ops_since_refresh = 0
-        self.phi, self.p = direct_inverse_oracle(self.window, self.lam, self.kernel)
+        _, self.p = direct_inverse_oracle(self.window, self.lam, self.kernel)
         self._post_op_check()
 
     @property
     def size(self) -> int:
         return self.window.shape[0]
-
-    def gram_matrix(self) -> np.ndarray:
-        """Pure kernel matrix of the window, i.e. ``phi`` without the ridge.
-
-        Off-diagonal entries of ``phi`` are untouched kernel values; the
-        diagonal is restored to k(x, x) exactly rather than subtracting the
-        ridge back out.
-        """
-        K = self.phi.copy()
-        np.fill_diagonal(K, self.kernel.self_similarity)
-        return K
 
     def extend(self, Xv) -> "RegGramState":
         """Append samples to the window and update ``p`` via the Schur block.
@@ -180,14 +173,7 @@ class RegGramState:
         p_new[h:, :h] = -w.T
         p_new[h:, h:] = p22
 
-        phi_new = np.empty((h + s, h + s))
-        phi_new[:h, :h] = self.phi
-        phi_new[:h, h:] = phi_uv
-        phi_new[h:, :h] = phi_uv.T
-        phi_new[h:, h:] = phi_v
-
         self.window = np.vstack([self.window, Xv])
-        self.phi = phi_new
         self.p = _symmetrize(p_new)
         self._after_mutation()
         return self
@@ -203,19 +189,20 @@ class RegGramState:
         p_new = ri22 - fi12.T @ (fi11_inv @ fi12)
 
         self.window = self.window[f:].copy()
-        self.phi = self.phi[f:, f:].copy()
         self.p = _symmetrize(p_new)
         self._after_mutation()
         return self
 
     def refresh(self) -> None:
-        """Recompute ``p`` (and ``phi``) from the window by direct inversion."""
-        self.phi, self.p = direct_inverse_oracle(self.window, self.lam, self.kernel)
+        """Recompute ``p`` from the window by direct inversion."""
+        _, self.p = direct_inverse_oracle(self.window, self.lam, self.kernel)
         self._ops_since_refresh = 0
 
     def inverse_residual(self) -> float:
-        """``||phi @ p - I||_max``, the maintained-inverse error."""
-        return float(np.abs(self.phi @ self.p - np.eye(self.size)).max())
+        """``||phi @ p - I||_max``, the maintained-inverse error, with ``phi``
+        rebuilt from the window."""
+        phi = gram(self.kernel, self.window) + (1.0 / self.lam) * np.eye(self.size)
+        return float(np.abs(phi @ self.p - np.eye(self.size)).max())
 
     def _after_mutation(self) -> None:
         self._ops_since_refresh += 1

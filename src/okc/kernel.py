@@ -46,11 +46,6 @@ class KernelSpec:
         if not np.isfinite(self.sigma) or self.sigma <= 0:
             raise InvalidInputError(f"sigma must be a positive finite real, got {self.sigma!r}")
 
-    @property
-    def self_similarity(self) -> float:
-        """k(x, x); equals 1 for the RBF kernel."""
-        return 1.0
-
 
 def _as_matrix(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)

@@ -7,6 +7,14 @@ sample and flags large squared reconstruction error. Both derive their
 rejection threshold from the distribution of training-sample scores, and both
 slide by forgetting the oldest chunk, absorbing the new one, and refitting
 weights and threshold on the updated window.
+
+The training scores need no kernel matrix. With ``phi = K + I / lambda`` and
+``p = phi^-1``, the boundary weights ``beta = p t`` give ``K beta - t =
+-beta / lambda``, and the reconstruction weights ``B = p X`` give ``X - K B =
+B / lambda``. So a window row scores ``|beta_i| / lambda`` or ``||B_i||^2 /
+lambda^2``, which also keeps the digits that the subtractive forms lose when
+``beta`` is large. Equal rows have exactly equal scores, so every copy of a
+window row takes the score of its first copy (:func:`first_copies`).
 """
 
 from __future__ import annotations
@@ -49,6 +57,16 @@ def rejection_threshold(distances, eta: float) -> float:
     return float(ordered[max(k - 1, 0)])
 
 
+def first_copies(rows: np.ndarray) -> np.ndarray:
+    """Index of the first row of ``rows`` equal to each row."""
+    # one opaque item per row, so that equal rows are equal items; adding 0.0
+    # turns -0.0 into 0.0, the one pair of equal floats with different bytes
+    rows = np.ascontiguousarray(rows, dtype=float) + 0.0
+    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, row_id = np.unique(items, return_index=True, return_inverse=True)
+    return first[row_id]
+
+
 def _sort_descending(d: np.ndarray) -> np.ndarray:
     # stable on the arrival index, so equal distances keep a fixed order and
     # the threshold is deterministic
@@ -77,7 +95,7 @@ class _WindowedModel:
 
     def _refit(self) -> None:
         self._recompute_weights()
-        d = self._training_scores()
+        d = self._training_scores()[first_copies(self.state.window)]
         self.train_distances = _sort_descending(d)
         self.theta = rejection_threshold(d, self.eta)
 
@@ -126,8 +144,7 @@ class BoundaryModel(_WindowedModel):
         self.beta = self.state.p @ targets
 
     def _training_scores(self) -> np.ndarray:
-        predicted = self.state.gram_matrix() @ self.beta
-        return np.abs(predicted - self.target_value)
+        return np.abs(self.beta) / self.state.lam
 
     def scores(self, Z) -> np.ndarray:
         predicted = self._kernel_rows(Z) @ self.beta
@@ -145,9 +162,7 @@ class ReconstructionModel(_WindowedModel):
         self.b_matrix = self.state.p @ self.state.window
 
     def _training_scores(self) -> np.ndarray:
-        reconstructed = self.state.gram_matrix() @ self.b_matrix
-        err = self.state.window - reconstructed
-        return np.einsum("ij,ij->i", err, err)
+        return np.einsum("ij,ij->i", self.b_matrix, self.b_matrix) / self.state.lam**2
 
     def scores(self, Z) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -169,8 +184,8 @@ def fit_reconstruction(state: RegGramState, eta: float) -> ReconstructionModel:
 def to_snapshot(model: _WindowedModel) -> dict:
     """Serializable snapshot of a fitted model.
 
-    Holds kernel spec, lambda, eta, the window samples and theta; the Gram
-    matrix and its inverse are rebuilt on load.
+    Holds kernel spec, lambda, eta, the window samples and theta; the inverse
+    of the regularized Gram matrix is recomputed from the window on load.
     """
     doc = {
         "format_version": SNAPSHOT_FORMAT_VERSION,

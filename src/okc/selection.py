@@ -27,10 +27,11 @@ The threshold and the decision are the models' own:
 :func:`~okc.models.rejection_threshold` over the training scores, and a
 held-out sample is rejected when its score exceeds it. Equal rows have
 exactly equal scores, so every copy of a row takes the score of its first
-copy in the training fold; a held-out copy of the training row that sets the
-threshold then ties with it, as in exact arithmetic, instead of falling on
-either side by round-off in two different formulas. Only one fold's
-factorization is held at a time.
+copy in the training fold (:func:`~okc.models.first_copies`, the models' own
+rule); a held-out copy of the training row that sets the threshold then ties
+with it, as in exact arithmetic, instead of falling on either side by
+round-off in two different formulas. Only one fold's factorization is held at
+a time.
 
 A fitted model rejects a regularized Gram whose 1-norm condition number
 exceeds ``CONDITION_LIMIT`` (1e14), and so does the search: a candidate any
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import IllConditionedError, InsufficientDataError, InvalidInputError
 from .gram_window import CONDITION_LIMIT, condition_1
 from .kernel import KernelSpec, gram, pairwise_distance_range
-from .models import rejection_threshold
+from .models import first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
 # (okcbench/tracing.py) wraps the fit_boundary binding of this module by name.
@@ -152,15 +153,18 @@ def _usable(K: np.ndarray, e: np.ndarray, U: np.ndarray, lam: float) -> bool:
 
 
 def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndarray,
-                 copy_t: np.ndarray, copy_c: np.ndarray, framework: str, lams: np.ndarray,
-                 eta: float) -> np.ndarray:
+                 framework: str, lams: np.ndarray, eta: float) -> np.ndarray:
     """Held-out target rejection of one fold for every lambda; inf where the
     regularized Gram is numerically unusable.
 
     ``K_t`` is the training block of the kernel matrix, ``K_c`` the held-out x
-    training block, ``X_t`` and ``X_c`` the training and held-out samples;
-    ``copy_t`` and ``copy_c`` are from :func:`_first_copies`.
+    training block, ``X_t`` and ``X_c`` the training and held-out samples.
     """
+    # Copies are found before the factorization: made between the large arrays
+    # below, the small temporaries of first_copies raised the peak RSS of a
+    # select on 500 rows by 3.4 MB in most runs.
+    n = len(X_t)
+    copy_t, copy_c = np.split(first_copies(np.concatenate([X_t, X_c])), [n])
     e, U = np.linalg.eigh(K_t)
     errors = np.full(lams.size, np.inf)
     usable = np.array([_usable(K_t, e, U, lam) for lam in lams])
@@ -173,7 +177,7 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
         train_scores = np.abs(beta) / lams
         held_scores = np.abs(K_c @ beta - 1.0)
     else:
-        n, dims = X_t.shape
+        dims = X_t.shape[1]
         # B of every lambda side by side, (n, L * dims), so one product serves all
         B = U @ ((U.T @ X_t)[:, None, :] / d[:, :, None]).reshape(n, -1)
         B3 = B.reshape(n, lams.size, dims)
@@ -182,25 +186,17 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
         held_scores = np.einsum("ilk,ilk->il", err, err)
     # Equal rows have, exactly, equal scores: a held-out copy of a training row
     # scores as that row. Taking every copy's score from one row keeps the
-    # ties with theta that round-off in the formulas above would break.
+    # ties with theta that round-off in the formulas above would break. The
+    # training rows come first, so a held-out row copies one when its first
+    # copy's index is below n.
     train_scores = train_scores[copy_t]
-    copies = copy_c >= 0
+    copies = copy_c < n
     held_scores[copies] = train_scores[copy_c[copies]]
     errors[usable] = [
         np.mean(held_scores[:, j] > rejection_threshold(train_scores[:, j], eta))
         for j in range(lams.size)
     ]
     return errors
-
-
-def _first_copies(X: np.ndarray, train_idx: np.ndarray, held_out: np.ndarray):
-    """Position in ``train_idx`` of the first training row equal to each
-    training row, and to each held-out row (-1 where none is equal)."""
-    _, row_id = np.unique(X, axis=0, return_inverse=True)
-    ids, first = np.unique(row_id[train_idx], return_index=True)
-    position = np.full(row_id.max() + 1, -1)
-    position[ids] = first
-    return position[row_id[train_idx]], position[row_id[held_out]]
 
 
 def _cv_errors(X: np.ndarray, folds: list[np.ndarray], framework: str,
@@ -213,8 +209,7 @@ def _cv_errors(X: np.ndarray, folds: list[np.ndarray], framework: str,
     for i, held_out in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         errors[i] = _fold_errors(K[np.ix_(train_idx, train_idx)], K[np.ix_(held_out, train_idx)],
-                                 X[train_idx], X[held_out], *_first_copies(X, train_idx, held_out),
-                                 framework, lams, eta)
+                                 X[train_idx], X[held_out], framework, lams, eta)
     return errors.mean(axis=0)
 
 

@@ -256,6 +256,39 @@ def test_stream_static_scores_in_window_sized_blocks(monkeypatch, framework):
     assert np.array_equal(np.concatenate(labels), model.labels_for(model.scores(rest)))
 
 
+def test_stream_scores_each_sample_before_the_slide_it_completes(monkeypatch):
+    # a sample is scored after the slides that earlier targets completed and
+    # before the one it completes; the stream ends with non-targets after a
+    # slide, so the last slide must happen too
+    full = drifting_stream(1500, seed=35)
+    cfg = stream_cfg("sliding")
+    tpos = np.flatnonzero(labels_of(full) == 1)
+    # the last slide whose completing target is followed by a non-target
+    slides = max(k for k in range(1, (tpos.size - cfg.window) // cfg.chunk)
+                 if tpos[cfg.window + k * cfg.chunk] > tpos[cfg.window + k * cfg.chunk - 1] + 1)
+    slide_at = tpos[cfg.window + cfg.chunk * np.arange(1, slides + 1) - 1]
+    stream = full[: tpos[cfg.window + slides * cfg.chunk]]
+    seen, done = [], [0]  # slides done when each scored row was scored
+    real_scores, real_absorb = BoundaryModel.scores, BoundaryModel.absorb
+
+    def recording_scores(self, Z):
+        seen.extend([done[0]] * len(Z))
+        return real_scores(self, Z)
+
+    def counting_absorb(self, chunk):
+        done[0] += 1
+        return real_absorb(self, chunk)
+
+    monkeypatch.setattr(BoundaryModel, "scores", recording_scores)
+    monkeypatch.setattr(BoundaryModel, "absorb", counting_absorb)
+    run_stream(stream, cfg)
+    monkeypatch.undo()
+
+    positions = np.arange(tpos[cfg.window - 1] + 1, len(stream))
+    assert done[0] == slides
+    assert seen == np.searchsorted(slide_at, positions).tolist()
+
+
 def test_stream_too_short():
     stream = drifting_stream(100)
     with pytest.raises(InsufficientDataError):

@@ -9,6 +9,7 @@ from okc import (
     RegGramState,
     WindowUnderflowError,
     direct_inverse_oracle,
+    gram,
     track_inversions,
 )
 
@@ -17,6 +18,11 @@ K1 = KernelSpec(sigma=1.0)
 
 def random_state(rng, h, n, lam, sigma=1.0):
     return RegGramState(scattered(rng, h, n), lam, KernelSpec(sigma=sigma))
+
+
+def rebuilt_phi(st):
+    """The regularized Gram of the state's window, built from scratch."""
+    return gram(st.kernel, st.window) + (1.0 / st.lam) * np.eye(st.size)
 
 
 def scattered(rng, m, n):
@@ -28,14 +34,14 @@ def scattered(rng, m, n):
 
 def test_init_1x1():
     st = RegGramState([[0.0]], 1.0, K1)
-    assert st.phi.tolist() == [[2.0]]
+    assert rebuilt_phi(st).tolist() == [[2.0]]
     assert st.p.tolist() == [[0.5]]
 
 
 def test_init_2x2_matches_direct_inversion():
     st = RegGramState([[0.0], [1.0]], 1.0, K1)
     k = 0.6065306597126334
-    np.testing.assert_allclose(st.phi, [[2.0, k], [k, 2.0]], atol=1e-15)
+    np.testing.assert_allclose(rebuilt_phi(st), [[2.0, k], [k, 2.0]], atol=1e-15)
     # direct 2x2 inversion: [[2, k], [k, 2]]^-1 = [[2, -k], [-k, 2]] / (4 - k^2)
     det = 4.0 - k * k
     np.testing.assert_allclose(st.p, np.array([[2.0, -k], [-k, 2.0]]) / det, atol=1e-12)
@@ -47,10 +53,9 @@ def test_init_weak_regularization():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 3))
     st = RegGramState(X, 1e8, K1)
-    from okc import gram
-
-    np.testing.assert_allclose(st.phi, gram(K1, X) + 1e-8 * np.eye(30), atol=1e-15)
-    assert np.abs(st.p @ st.phi - np.eye(30)).max() < 1e-6
+    phi = rebuilt_phi(st)
+    np.testing.assert_allclose(phi, gram(K1, X) + 1e-8 * np.eye(30), atol=1e-15)
+    assert np.abs(st.p @ phi - np.eye(30)).max() < 1e-6
 
 
 def test_init_rejects_bad_lambda():
@@ -69,9 +74,9 @@ def test_extend_single_sample_matches_oracle():
 
 def test_extend_empty_chunk_is_noop():
     st = RegGramState([[0.0], [1.0]], 1.0, K1)
-    phi, p = st.phi.copy(), st.p.copy()
+    window, p = st.window.copy(), st.p.copy()
     st.extend(np.empty((0, 1)))
-    assert np.array_equal(st.phi, phi)
+    assert np.array_equal(st.window, window)
     assert np.array_equal(st.p, p)
 
 
@@ -100,7 +105,8 @@ def test_retract_back_to_single_sample():
     st.retract(1)
     ref = RegGramState([[1.0]], 1.0, K1)
     assert np.abs(st.p - ref.p).max() < 1e-10
-    assert np.abs(st.phi - ref.phi).max() < 1e-10
+    assert np.array_equal(st.window, ref.window)
+    assert np.abs(rebuilt_phi(st) - rebuilt_phi(ref)).max() < 1e-10
 
 
 def test_retract_then_extend_restores_phi():
@@ -110,9 +116,9 @@ def test_retract_then_extend_restores_phi():
     chunk = st.window[:4].copy()
     st.retract(4)
     st.extend(np.vstack([st.window[:0], chunk]))  # re-insert the forgotten rows at the end
-    ref_phi, _ = direct_inverse_oracle(st.window, 1.0, K1)
+    _, p = direct_inverse_oracle(st.window, 1.0, K1)
     assert np.array_equal(st.window, np.vstack([X[4:], X[:4]]))
-    np.testing.assert_array_equal(st.phi, ref_phi)
+    assert np.abs(st.p - p).max() < 1e-10
 
 
 def test_retract_large_block_matches_oracle():
@@ -176,7 +182,7 @@ def test_oracle_matches_init_exactly():
     X = rng.normal(size=(40, 6))
     st = RegGramState(X, 2.0, K1)
     phi, p = direct_inverse_oracle(X, 2.0, K1)
-    assert np.array_equal(st.phi, phi)
+    assert np.array_equal(rebuilt_phi(st), phi)
     assert np.array_equal(st.p, p)
 
 
@@ -230,4 +236,3 @@ def test_symmetry_maintained():
         st.extend(rng.normal(size=(10, 5)))
         st.retract(10)
     assert np.array_equal(st.p, st.p.T)
-    assert np.array_equal(st.phi, st.phi.T)

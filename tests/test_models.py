@@ -23,6 +23,33 @@ def make_state(rng, h, n=2, lam=10.0, sigma=1.0):
     return RegGramState(rng.normal(size=(h, n)), lam, KernelSpec(sigma=sigma))
 
 
+def exact_training_scores(X, lam, sigma, framework, digits=50):
+    """Training scores ``|K beta - 1|`` (boundary) or ``||x_i - (K B)_i||^2``
+    (reconstruction) of every row of ``X``, formed subtractively in
+    ``digits``-digit arithmetic from the float inputs."""
+    mp = pytest.importorskip("mpmath").mp
+    X = np.asarray(X, dtype=float)
+    n, dims = X.shape
+    with mp.workdps(digits):
+        rows = [[mp.mpf(float(v)) for v in x] for x in X]
+        K = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                d2 = mp.fsum((a - b) ** 2 for a, b in zip(rows[i], rows[j]))
+                K[i, j] = mp.exp(-d2 / (2 * mp.mpf(float(sigma)) ** 2))
+        phi = K + mp.eye(n) / mp.mpf(float(lam))
+        if framework == "boundary":
+            predicted = K * mp.lu_solve(phi, mp.matrix([1] * n))
+            return np.array([float(abs(predicted[i] - 1)) for i in range(n)])
+        recon = [K * mp.lu_solve(phi, mp.matrix([r[c] for r in rows])) for c in range(dims)]
+        return np.array([float(mp.fsum((rows[i][c] - recon[c][i]) ** 2 for c in range(dims)))
+                         for i in range(n)])
+
+
+def descending(d):
+    return np.sort(d)[::-1]
+
+
 # ---- threshold rule -------------------------------------------------------
 
 
@@ -84,11 +111,29 @@ def test_boundary_beta_is_p_times_targets():
 
 
 def test_boundary_scoring_training_sample_matches_train_distance():
+    # scores() forms |k(x) beta - 1| from kernel rows, the training distances
+    # come from |beta| / lambda; both must be the exact scores, and so agree
     rng = np.random.default_rng(3)
     st = make_state(rng, 30)
     m = fit_boundary(st, 0.1)
     d = m.scores(st.window)
-    np.testing.assert_array_equal(np.sort(d)[::-1], m.train_distances)
+    exact = exact_training_scores(st.window, st.lam, 1.0, "boundary")
+    np.testing.assert_allclose(d, exact, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(m.train_distances, descending(exact), rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(descending(d), m.train_distances, rtol=1e-9, atol=1e-14)
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+@pytest.mark.parametrize("seed", range(4))
+def test_training_scores_keep_their_digits_when_weights_are_large(framework, seed):
+    # 43 close 1-D rows with lambda=1e8: the weights are large, and forming
+    # K beta - 1 (or X - K B) in floating point cancels most digits of the
+    # tiny scores; the closed forms keep them
+    X = np.random.default_rng(seed).random((43, 1))
+    fit = fit_boundary if framework == "boundary" else fit_reconstruction
+    m = fit(RegGramState(X, 1e8, K1), 0.05)
+    exact = descending(exact_training_scores(X, 1e8, 1.0, framework))
+    assert np.max(np.abs(m.train_distances - exact) / exact) < 1e-3
 
 
 def test_boundary_far_probe_scores_one():
@@ -127,6 +172,21 @@ def test_reconstruction_identical_window_scores_equal():
     m = fit_reconstruction(st, 0.2)
     assert np.all(m.train_distances == m.train_distances[0])
     assert m.theta == m.train_distances[0]
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_copies_of_a_window_row_share_its_score(framework):
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(30, 2))
+    X[[7, 19, 25]] = X[3]
+    X[11], X[12] = [0.0, 0.5], [-0.0, 0.5]  # equal rows, different bytes
+    fit = fit_boundary if framework == "boundary" else fit_reconstruction
+    m = fit(RegGramState(X, 1e3, K1), 0.1)
+    source = np.arange(30)
+    source[[7, 19, 25]] = 3
+    source[12] = 11
+    d = m._training_scores()
+    assert np.array_equal(m.train_distances, descending(d[source]))
 
 
 def test_reconstruction_sse_matches_naive_loop():

@@ -20,10 +20,11 @@ from okc import (
     gram,
     lambda_grid,
     pairwise_distance_range,
+    rejection_threshold,
     select,
     sigma_grid,
 )
-from okc.selection import _first_copies, _fold_errors
+from okc.selection import _fold_errors
 
 
 # ---- consistency threshold -------------------------------------------------
@@ -124,11 +125,23 @@ def blob(n=200, seed=0):
 
 
 def dense_fold_error(X, train, held_out, framework, lam, sigma, eta):
-    """Held-out rejection of a model fitted on ``X[train]``; raises
+    """Held-out rejection of a model fitted on ``X[train]``, with theta from
+    the training scores ``|K beta - 1|`` (or ``||X - K B||^2`` row by row)
+    formed with the training kernel matrix, not from the model's own theta, so
+    that the reference shares no formula with ``select``; raises
     IllConditionedError as the fit does."""
-    fit = fit_boundary if framework == "boundary" else fit_reconstruction
-    model = fit(RegGramState(X[train], lam, KernelSpec(sigma=sigma)), eta)
-    return float(np.mean(model.labels_for(model.scores(X[held_out])) == -1))
+    spec = KernelSpec(sigma=sigma)
+    X_t = X[train]
+    K = gram(spec, X_t)
+    if framework == "boundary":
+        model = fit_boundary(RegGramState(X_t, lam, spec), eta)
+        train_scores = np.abs(K @ model.beta - 1.0)
+    else:
+        model = fit_reconstruction(RegGramState(X_t, lam, spec), eta)
+        err = X_t - K @ model.b_matrix
+        train_scores = np.einsum("ij,ij->i", err, err)
+    theta = rejection_threshold(train_scores, eta)
+    return float(np.mean(model.scores(X[held_out]) > theta))
 
 
 def dense_cv_error(X, folds, framework, lam, sigma, eta):
@@ -374,8 +387,8 @@ def test_held_out_copies_score_as_their_training_rows(framework):
     order = rng.permutation(40)
     X_c = X_t[order]
     spec = KernelSpec(sigma=0.8)
-    errors = _fold_errors(gram(spec, X_t), gram(spec, X_c, X_t), X_t, X_c, np.arange(40), order,
-                          framework, np.array(lambda_grid()), 0.2)
+    errors = _fold_errors(gram(spec, X_t), gram(spec, X_c, X_t), X_t, X_c, framework,
+                          np.array(lambda_grid()), 0.2)
     assert errors.tolist() == [7 / 40] * 17
 
 
@@ -398,8 +411,7 @@ def test_condition_rule_matches_dense_fits_in_band(monkeypatch, framework):
             for i, held_out in enumerate(folds):
                 train = np.concatenate([f for j, f in enumerate(folds) if j != i])
                 errors = _fold_errors(K[np.ix_(train, train)], K[np.ix_(held_out, train)],
-                                      X[train], X[held_out], *_first_copies(X, train, held_out),
-                                      framework, lams, 0.1)
+                                      X[train], X[held_out], framework, lams, 0.1)
                 e = np.linalg.eigvalsh(K[np.ix_(train, train)])
                 for lam, err in zip(lams, errors):
                     try:
