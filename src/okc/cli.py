@@ -13,6 +13,7 @@ and malformed specs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -23,6 +24,9 @@ from .errors import OkcError, SpecError
 from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
 from .selection import SelectionConfig, select
 from .streams import DatasetSchema, DriftStreamSpec, gen_stream, load_csv, save_csv
+
+
+PROTOCOLS = ("stream", "stationary")
 
 
 def _package_version() -> str:
@@ -72,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file of run settings; flags given here override it")
     p_run.add_argument("--framework", choices=("boundary", "reconstruction"), default=sup,
                        help="(default boundary)")
-    p_run.add_argument("--protocol", choices=("stream", "stationary"), default=sup,
+    p_run.add_argument("--protocol", choices=PROTOCOLS, default=sup,
                        help="prequential stream walk or repeated shuffled-split runs (default stream)")
     p_run.add_argument("--mode", choices=("sliding", "static"), default=sup,
                        help="stream protocol only: slide the window or train once (default sliding)")
@@ -100,8 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _delimiter(text: str) -> str:
+    try:
+        csv.reader([], delimiter=text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"unusable CSV delimiter {text!r}: {exc}") from None
+    return text
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
+    p.add_argument("--delimiter", type=_delimiter, default=",", help="CSV delimiter (default ',')")
     p.add_argument("--label-column", default="-1",
                    help="label column index or (with --header) name; default -1, the last column")
     p.add_argument("--target-label", default=None,
@@ -126,32 +138,57 @@ def _schema_from_args(args, path: str) -> DatasetSchema:
     )
 
 
-def _load_spec(path: str) -> DriftStreamSpec:
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_mismatch(default, value) -> str | None:
+    """What ``value`` should be to match the type of ``default``, or None if it does."""
+    if default == "auto":
+        return None if value == "auto" or _is_number(value) else "a number or 'auto'"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    if isinstance(default, int):
+        return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    # a None default is an optional vector
+    if value is None or (isinstance(value, list) and all(map(_is_number, value))):
+        return None
+    return "a list of numbers or null"
+
+
+def _load_fields(path: str, defaults: dict, what: str) -> dict:
+    """Read a JSON object whose fields are keys of ``defaults``, each value
+    typed like its default. Raises SpecError naming the offending field."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise SpecError(f"malformed spec JSON: {exc}") from None
+        raise SpecError(f"malformed {what} JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise SpecError("spec JSON must be an object")
-    known = {f.name for f in dataclasses.fields(DriftStreamSpec)}
-    unknown = sorted(set(doc) - known)
+        raise SpecError(f"{what} is not a JSON object")
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
-        raise SpecError(f"unknown spec field(s): {', '.join(unknown)}")
-    spec = DriftStreamSpec(**doc)
+        raise SpecError(f"unknown {what} field(s): {', '.join(unknown)}")
+    for name, value in doc.items():
+        expected = _type_mismatch(defaults[name], value)
+        if expected is not None:
+            raise SpecError(f"{what} field {name!r} must be {expected}, got {value!r}")
+    return doc
+
+
+def _load_spec(path: str) -> DriftStreamSpec:
+    spec = DriftStreamSpec(**_load_fields(path, _field_defaults(DriftStreamSpec), "spec"))
     spec.validate()
     return spec
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except FileNotFoundError:
-        print(f"spec file not found: {args.spec}", file=sys.stderr)
-        return 1
-    except SpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
-    samples = gen_stream(spec)
+    samples = gen_stream(_load_spec(args.spec))
     save_csv(samples, args.out)
     targets = sum(1 for s in samples if s.label == 1)
     print(json.dumps({
@@ -176,18 +213,7 @@ def _cmd_select(args, parser) -> int:
     return 0
 
 
-RUN_DEFAULTS = {
-    "protocol": "stream",
-    "framework": "boundary",
-    "mode": "sliding",
-    "window": 150,
-    "chunk": 50,
-    "eta": 0.05,
-    "lam": 1.0,
-    "sigma": "auto",
-    "runs": 1,
-    "seed": 0,
-}
+RUN_DEFAULTS = {"protocol": "stream", **_field_defaults(RunConfig)}
 
 
 def _layered_run_settings(args, parser) -> dict:
@@ -195,14 +221,11 @@ def _layered_run_settings(args, parser) -> dict:
     settings = dict(RUN_DEFAULTS)
     if args.config is not None:
         try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"--config is not valid JSON: {exc}")
+            doc = _load_fields(args.config, {"lambda": RUN_DEFAULTS["lam"], **RUN_DEFAULTS}, "--config")
+        except SpecError as exc:
+            parser.error(str(exc))
         if "lambda" in doc:
             doc["lam"] = doc.pop("lambda")
-        unknown = sorted(set(doc) - set(RUN_DEFAULTS))
-        if unknown:
-            parser.error(f"unknown --config field(s): {', '.join(unknown)}")
         settings.update(doc)
     for key in RUN_DEFAULTS:
         if hasattr(args, key):  # SUPPRESS: present only when the flag was given
@@ -212,29 +235,21 @@ def _layered_run_settings(args, parser) -> dict:
 
 def _cmd_run(args, parser) -> int:
     settings = _layered_run_settings(args, parser)
-    sigma = settings["sigma"]
-    if sigma != "auto":
+    protocol = settings.pop("protocol")
+    if protocol not in PROTOCOLS:
+        parser.error(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if settings["sigma"] != "auto":
         try:
-            sigma = float(sigma)
-        except (TypeError, ValueError):
+            settings["sigma"] = float(settings["sigma"])
+        except ValueError:
             parser.error(f"--sigma must be a number or 'auto', got {settings['sigma']!r}")
-    cfg = RunConfig(
-        framework=settings["framework"],
-        mode=settings["mode"],
-        window=settings["window"],
-        chunk=settings["chunk"],
-        eta=settings["eta"],
-        lam=settings["lam"],
-        sigma=sigma,
-        runs=settings["runs"],
-        seed=settings["seed"],
-    )
+    cfg = RunConfig(**settings)
     path = Path(args.input)
     if path.suffix == ".json":
         samples = gen_stream(_load_spec(args.input))
     else:
         samples = load_csv(_schema_from_args(args, args.input))
-    if settings["protocol"] == "stationary":
+    if protocol == "stationary":
         report = run_stationary(samples, cfg)
         token = "stationary"
     else:

@@ -72,6 +72,8 @@ def _squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for two vectors.
 
+    Computed as the 1 x 1 :func:`gram` of the pair, so the two agree bitwise.
+
     Raises
     ------
     DimensionError
@@ -83,10 +85,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise DimensionError(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidInputError("kernel inputs must be finite")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+    return float(gram(spec, x, y)[0, 0])
 
 
 def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:

@@ -4,11 +4,14 @@ import pytest
 import okc.gram_window as gw
 from okc import (
     DimensionError,
+    DriftStreamSpec,
     IllConditionedError,
+    InvalidInputError,
     KernelSpec,
     RegGramState,
     WindowUnderflowError,
     direct_inverse_oracle,
+    gen_stream,
     gram,
     track_inversions,
 )
@@ -59,10 +62,15 @@ def test_init_weak_regularization():
 
 
 def test_init_rejects_bad_lambda():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         RegGramState([[0.0]], 0.0, K1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         RegGramState([[0.0]], -2.0, K1)
+
+
+def test_init_rejects_empty_window():
+    with pytest.raises(InvalidInputError):
+        RegGramState(np.empty((0, 2)), 1.0, K1)
 
 
 def test_extend_single_sample_matches_oracle():
@@ -183,7 +191,9 @@ def test_oracle_matches_init_exactly():
     st = RegGramState(X, 2.0, K1)
     phi, p = direct_inverse_oracle(X, 2.0, K1)
     assert np.array_equal(rebuilt_phi(st), phi)
-    assert np.array_equal(st.p, p)
+    # the state keeps the symmetric part of the dense inverse
+    assert not np.array_equal(p, p.T)
+    assert np.array_equal(st.p, (p + p.T) * 0.5)
 
 
 def test_oracle_is_layout_sensitive():
@@ -211,24 +221,6 @@ def test_extend_ill_conditioned_schur_rejected(monkeypatch):
         st.extend([[10.0]])
 
 
-def test_debug_checks_flag_runs_assertion(monkeypatch):
-    monkeypatch.setattr(gw, "DEBUG_CHECKS", True)
-    rng = np.random.default_rng(10)
-    st = random_state(rng, 30, 3, 1.0)
-    st.extend(rng.normal(size=(5, 3)))
-    st.retract(5)  # would assert if the residual drifted
-
-
-def test_refresh_interval_keeps_state_consistent():
-    rng = np.random.default_rng(12)
-    st = RegGramState(rng.normal(size=(30, 3)), 1.0, K1, refresh_interval=3)
-    for _ in range(9):
-        st.extend(rng.normal(size=(4, 3)))
-        st.retract(4)
-    _, p = direct_inverse_oracle(st.window, 1.0, K1)
-    assert np.abs(st.p - p).max() < 1e-8
-
-
 def test_symmetry_maintained():
     rng = np.random.default_rng(13)
     st = random_state(rng, 80, 5, 1e3)
@@ -236,3 +228,35 @@ def test_symmetry_maintained():
         st.extend(rng.normal(size=(10, 5)))
         st.retract(10)
     assert np.array_equal(st.p, st.p.T)
+
+
+@pytest.fixture(scope="module")
+def drift_targets():
+    # the README's drift stream, lengthened so that 2000 slides of 50 fit
+    spec = DriftStreamSpec(family="unimodal_drift", total=210_000, drift_period=200,
+                           velocity=[0.25, 0.0], class_offset=[8.0, 0.0], seed=42)
+    return np.array([s.features for s in gen_stream(spec) if s.label == 1])
+
+
+@pytest.mark.parametrize("window, slides, lam, sigma, bound", [
+    (150, 2000, 10.0, 2.0, 1e-10),
+    (150, 2000, 1e3, 1.0, 1e-7),
+    (1000, 60, 1e3, 1.0, 1e-7),
+])
+def test_long_stream_keeps_inverse_close_to_oracle(drift_targets, window, slides, lam, sigma, bound):
+    chunk = 50
+    X = drift_targets
+    assert X.shape[0] >= window + slides * chunk
+    kernel = KernelSpec(sigma=sigma)
+    st = RegGramState(X[:window], lam, kernel)
+    checkpoints = range(slides // 5, slides + 1, slides // 5)
+    errors = []
+    for k in range(1, slides + 1):
+        st.retract(chunk)
+        st.extend(X[window + (k - 1) * chunk: window + k * chunk])
+        if k in checkpoints:
+            _, p = direct_inverse_oracle(st.window, lam, kernel)
+            errors.append(np.abs(st.p - p).max() / np.abs(p).max())
+    assert len(errors) == 5
+    assert max(errors) < bound, errors
+    assert errors[-1] <= 10 * errors[0], errors

@@ -63,6 +63,16 @@ def test_eval_kernel_range():
         assert (k == 1.0) == bool(np.array_equal(x, y))
 
 
+@pytest.mark.parametrize("d", [1, 2, 8, 9, 16, 20])
+def test_eval_kernel_equals_gram_bitwise(d):
+    rng = np.random.default_rng(d)
+    spec = KernelSpec(sigma=1.3)
+    X, Y = rng.normal(size=(200, d)), rng.normal(size=(200, d))
+    K = gram(spec, X, Y)
+    for i in range(200):
+        assert eval_kernel(spec, X[i], Y[i]) == K[i, i]
+
+
 def test_eval_kernel_errors():
     spec = KernelSpec(sigma=1.0)
     with pytest.raises(DimensionError):
