@@ -20,7 +20,7 @@ import sys
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-from .errors import OkcError, SpecError
+from .errors import InvalidInputError, OkcError, SpecError
 from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
 from .selection import SelectionConfig, select
 from .streams import DatasetSchema, DriftStreamSpec, gen_stream, load_csv, save_csv
@@ -244,6 +244,10 @@ def _cmd_run(args, parser) -> int:
         except ValueError:
             parser.error(f"--sigma must be a number or 'auto', got {settings['sigma']!r}")
     cfg = RunConfig(**settings)
+    try:
+        cfg.validate()
+    except InvalidInputError as exc:
+        parser.error(str(exc))
     path = Path(args.input)
     if path.suffix == ".json":
         samples = gen_stream(_load_spec(args.input))

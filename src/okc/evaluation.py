@@ -50,6 +50,8 @@ class RunConfig:
             raise InvalidInputError(
                 f"sliding mode needs 0 < chunk < window, got chunk={self.chunk}, window={self.window}"
             )
+        if not 0 < self.eta <= 1:
+            raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
         if self.sigma != "auto" and float(self.sigma) <= 0:

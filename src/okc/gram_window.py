@@ -4,26 +4,36 @@ The state tracked here is the window ``W`` and the inverse ``p`` of its
 regularized Gram matrix ``phi = K(W, W) + (1/lambda) I``; ``phi`` itself is
 not stored. Growing the window updates ``p`` through the Schur complement of
 the new block, built from the kernel values of the new samples against the
-window and against each other, so only an s x s matrix is freshly inverted:
+window and against each other, so only an s x s matrix is freshly factored.
+With ``t = p Phi_uv`` and ``g`` the inverse of the Cholesky factor of ``S``:
 
-    S   = Phi_v - Phi_uv^T p Phi_uv
-    P22 = S^-1
-    P12 = -p Phi_uv P22
-    P11 = p + (p Phi_uv) P22 (p Phi_uv)^T
+    S   = Phi_v - Phi_uv^T t,    g = chol(S)^-1,    S^-1 = g^T g
+    z   = t g^T
+    P11 = p + z z^T
+    P12 = -z g
+    P22 = g^T g
 
 Shrinking the window (forgetting the oldest f samples) partitions the current
 inverse as ``[[Fi11, Fi12], [Fi12^T, Ri22]]`` with ``Fi11`` the leading f x f
 block and downdates
 
-    p_new = Ri22 - Fi12^T Fi11^-1 Fi12
+    g     = chol(Fi11)^-1,    y = g Fi12
+    p_new = Ri22 - Fi12^T Fi11^-1 Fi12 = Ri22 - y^T y
 
-again inverting only an f x f matrix. This is the sliding-window kernel RLS
-update (Van Vaerenbergh, Via and Santamaria, 2006). The window and ``p`` are
-the whole state: ``p`` is never re-inverted from scratch, because its
-round-off stays flat over thousands of slides. The test suite checks both
-identities, and ``p`` after thousands of slides along a drifting stream,
-against ``direct_inverse_oracle``, which builds ``phi`` from the window and
-inverts it densely.
+again factoring only an f x f matrix. This is the sliding-window kernel RLS
+update (Van Vaerenbergh, Via and Santamaria, 2006). Every rank update has
+the form ``A A^T`` or ``A^T A`` of one array, which NumPy evaluates with
+``syrk`` and mirrors, so it is exactly symmetric; adding it to a symmetric
+block keeps ``p`` exactly symmetric without a symmetrizing pass. The
+factorizations also refuse a block that is not positive definite, although
+in exact arithmetic every leading block of ``p`` and every Schur complement
+is.
+
+The window and ``p`` are the whole state: ``p`` is never re-inverted from
+scratch, because its round-off stays flat over thousands of slides. The test
+suite checks both identities, and ``p`` after thousands of slides along a
+drifting stream, against ``direct_inverse_oracle``, which builds ``phi`` from
+the window and inverts it densely.
 """
 
 from __future__ import annotations
@@ -43,10 +53,10 @@ _inversion_log: list[int] | None = None
 
 @contextmanager
 def track_inversions():
-    """Record the size of every dense inversion performed inside the block.
+    """Record the size of every matrix inverted or factored inside the block.
 
     Yields the list of matrix sizes, appended to in call order. Used by tests
-    to prove that extend/retract never invert a full window-sized matrix.
+    to prove that extend/retract never factor a full window-sized matrix.
     """
     global _inversion_log
     previous = _inversion_log
@@ -67,18 +77,45 @@ def _invert(a: np.ndarray, what: str) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} is singular") from exc
+    _check_condition(a, inv, what)
+    return inv
+
+
+def _check_condition(a: np.ndarray, inv: np.ndarray, what: str) -> None:
+    # refuse an inverse whose cond_1 exceeds the limit; log each accepted one
     cond = condition_1(a, inv)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(f"{what} is ill-conditioned (cond_1 estimate {cond:.3e})")
     if _inversion_log is not None:
         _inversion_log.append(a.shape[0])
-    return inv
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    # phi is symmetric, so p must stay symmetric; this suppresses the
-    # asymmetric round-off that otherwise compounds over long streams.
-    return (a + a.T) * 0.5
+def _inverse_cholesky(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``g = chol(a)^-1`` and ``a^-1 = g.T @ g``, checked as ``_invert`` checks.
+
+    With ``a = L L^T``, the Cholesky factor of the bordered matrix
+    ``[[a, I], [I, c I]]`` is ``[[L, 0], [L^-T, chol(c I - a^-1)]]``, so one
+    factorization yields ``g = L^-1``, at less cost than inverting ``L``
+    after factoring ``a``. The trailing block only has to be positive
+    definite. ``c = 2 CONDITION_LIMIT / norm1(a)`` makes it so for every
+    ``a`` the condition rule accepts, since ``norm2(a^-1) <= norm1(a^-1)``.
+    It also keeps ``c`` near the scale of ``a^-1``: with ``c = 1e300`` the
+    discarded trailing factor divides small products by ``c`` into subnormal
+    range, and the W=150 stream ran a fifth slower.
+    """
+    n = a.shape[0]
+    bordered = np.zeros((2 * n, 2 * n))
+    bordered[:n, :n] = a
+    diag = np.arange(n)
+    bordered[n + diag, diag] = 1.0
+    bordered[n + diag, n + diag] = 2.0 * CONDITION_LIMIT / np.abs(a).sum(axis=0).max()
+    try:
+        g = np.linalg.cholesky(bordered)[n:, :n].T
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{what} is not positive definite or is ill-conditioned") from exc
+    inv = g.T @ g
+    _check_condition(a, inv, what)
+    return g, inv
 
 
 def direct_inverse_oracle(X, lam: float, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +171,8 @@ class RegGramState:
         # retract reads only the upper blocks of p, as if p were symmetric; the
         # raw inverse's asymmetry alone left 5e-7 relative error in p after
         # the first slide at W=1000, lambda=1e3, sigma=1 (1.5e-8 symmetrized)
-        self.p = _symmetrize(direct_inverse_oracle(self.window, self.lam, self.kernel)[1])
+        p = direct_inverse_oracle(self.window, self.lam, self.kernel)[1]
+        self.p = (p + p.T) * 0.5
 
     @property
     def size(self) -> int:
@@ -143,7 +181,7 @@ class RegGramState:
     def extend(self, Xv) -> "RegGramState":
         """Append samples to the window and update ``p`` via the Schur block.
 
-        Only the s x s Schur complement is inverted; the stored inverse plays
+        Only the s x s Schur complement is factored; the stored inverse plays
         the role of the old block's inverse.
         """
         Xv = np.asarray(Xv, dtype=float)
@@ -161,32 +199,33 @@ class RegGramState:
         phi_v = gram(self.kernel, Xv) + (1.0 / self.lam) * np.eye(s)
 
         t = self.p @ phi_uv  # (h, s)
-        schur = _symmetrize(phi_v - phi_uv.T @ t)
-        p22 = _symmetrize(_invert(schur, "Schur complement"))
-        w = t @ p22  # (h, s)
+        # the Cholesky factor reads only the lower triangle of S
+        g, p22 = _inverse_cholesky(phi_v - phi_uv.T @ t, "Schur complement")
+        z = t @ g.T  # (h, s)
 
         p_new = np.empty((h + s, h + s))
-        p_new[:h, :h] = self.p + w @ t.T
-        p_new[:h, h:] = -w
-        p_new[h:, :h] = -w.T
+        p11 = p_new[:h, :h]
+        np.matmul(z, z.T, out=p11)
+        p11 += self.p
+        np.matmul(z, -g, out=p_new[:h, h:])
+        p_new[h:, :h] = p_new[:h, h:].T
         p_new[h:, h:] = p22
 
         self.window = np.vstack([self.window, Xv])
-        self.p = _symmetrize(p_new)
+        self.p = p_new
         return self
 
     def retract(self, f: int) -> "RegGramState":
-        """Forget the oldest ``f`` samples, downdating ``p`` in place."""
+        """Forget the oldest ``f`` samples, downdating ``p``."""
         if not 1 <= f < self.size:
             raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
-        fi11 = self.p[:f, :f]
-        fi12 = self.p[:f, f:]
-        ri22 = self.p[f:, f:]
-        fi11_inv = _invert(fi11, "leading inverse block")
-        p_new = ri22 - fi12.T @ (fi11_inv @ fi12)
+        g, _ = _inverse_cholesky(self.p[:f, :f], "leading inverse block")
+        y = g @ self.p[:f, f:]
+        p_new = y.T @ y
+        np.subtract(self.p[f:, f:], p_new, out=p_new)
 
         self.window = self.window[f:].copy()
-        self.p = _symmetrize(p_new)
+        self.p = p_new
         return self
 
     def inverse_residual(self) -> float:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,8 +269,10 @@ def test_unknown_flag_rejected():
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "okc.cli", "version"], capture_output=True, text=True
+        [sys.executable, "-m", "okc.cli", "version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -84,3 +84,20 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     data = write(tmp_path, "d.csv", "0.0,1.0,1\n1.0,0.0,1\n")
     err = usage_error([command, data, "--delimiter", delimiter], capsys)
     assert "--delimiter" in err
+
+
+@pytest.mark.parametrize("flags, doc, named", [
+    (["--window", "0"], None, "window must be >= 1"),
+    ([], {"window": 0}, "window must be >= 1"),
+    (["--chunk", "200", "--window", "150"], None, "chunk=200, window=150"),
+    (["--eta", "1.5"], None, "eta must lie in (0, 1]"),
+])
+def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc, named):
+    spec = write(tmp_path, "spec.json", json.dumps(SPEC))
+    argv = ["run", spec, "--sigma", "1", "--out", str(tmp_path), *flags]
+    if doc is not None:
+        argv += ["--config", write(tmp_path, "run.json", json.dumps(doc))]
+    err = usage_error(argv, capsys)
+    assert named in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("spec_*"))

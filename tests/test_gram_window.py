@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as hs
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import okc.gram_window as gw
 from okc import (
@@ -228,6 +231,67 @@ def test_symmetry_maintained():
         st.extend(rng.normal(size=(10, 5)))
         st.retract(10)
     assert np.array_equal(st.p, st.p.T)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_duplicated_rows_raise_or_keep_inverse_close_to_oracle(seed):
+    # 2-D integer features from 1..6: only 36 distinct points fill a window of
+    # 150, so with a 1e-8 ridge the regularized Gram is nearly singular
+    window, chunk, lam, kernel = 150, 50, 1e8, KernelSpec(sigma=3.0)
+    X = np.random.default_rng(seed).integers(1, 7, size=(window + 20 * chunk, 2)).astype(float)
+    st = RegGramState(X[:window], lam, kernel)
+    for k in range(20):
+        try:
+            st.retract(chunk)
+            st.extend(X[window + k * chunk: window + (k + 1) * chunk])
+        except IllConditionedError:
+            return
+        _, p = direct_inverse_oracle(st.window, lam, kernel)
+        assert np.abs(st.p - p).max() / np.abs(p).max() < 1e-6, k
+
+
+class SlidingWindowMachine(RuleBasedStateMachine):
+    """Random extend/retract sequences on well-separated samples: after every
+    step ``p`` matches the oracle, is exactly symmetric, and only the new
+    chunk or the forgotten block was inverted."""
+
+    MAX_SIZE = 60
+
+    @initialize(seed=hs.integers(0, 2**32 - 1), size=hs.integers(1, 30),
+                n=hs.integers(1, 5), lam=hs.sampled_from([1e-3, 1.0, 1e3]))
+    def start(self, seed, size, n, lam):
+        self.rng = np.random.default_rng(seed)
+        self.n = n
+        self.state = RegGramState(scattered(self.rng, size, n), lam, K1)
+        self.inverted, self.expected = [], []
+
+    @precondition(lambda self: self.state.size < self.MAX_SIZE)
+    @rule(s=hs.integers(0, 12))
+    def extend(self, s):
+        with track_inversions() as log:
+            self.state.extend(scattered(self.rng, s, self.n))
+        self.inverted, self.expected = log, [s] if s else []
+
+    @precondition(lambda self: self.state.size > 1)
+    @rule(data=hs.data())
+    def retract(self, data):
+        f = data.draw(hs.integers(1, self.state.size - 1), label="f")
+        with track_inversions() as log:
+            self.state.retract(f)
+        self.inverted, self.expected = log, [f]
+
+    @invariant()
+    def p_matches_oracle_and_is_symmetric(self):
+        st = self.state
+        _, p = direct_inverse_oracle(st.window, st.lam, st.kernel)
+        assert np.abs(st.p - p).max() < 1e-8
+        assert np.array_equal(st.p, st.p.T)
+        assert self.inverted == self.expected
+
+
+TestSlidingWindowMachine = SlidingWindowMachine.TestCase
+TestSlidingWindowMachine.settings = settings(max_examples=40, stateful_step_count=15,
+                                             deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="module")
