@@ -29,6 +29,7 @@ from .models import (
 )
 from .selection import SelectionConfig, SelectionResult, consistency_threshold, lambda_grid, select, sigma_grid
 from .streams import (
+    Dataset,
     DatasetSchema,
     DriftStreamSpec,
     LabeledSample,

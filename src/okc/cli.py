@@ -188,26 +188,21 @@ def _load_spec(path: str) -> DriftStreamSpec:
 
 
 def _cmd_gen(args) -> int:
-    samples = gen_stream(_load_spec(args.spec))
-    save_csv(samples, args.out)
-    targets = sum(1 for s in samples if s.label == 1)
-    print(json.dumps({
-        "path": args.out,
-        "total": len(samples),
-        "targets": targets,
-        "outliers": len(samples) - targets,
-    }))
+    ds = gen_stream(_load_spec(args.spec))
+    save_csv(ds, args.out)
+    targets = int((ds.y == 1).sum())
+    print(json.dumps({"path": args.out, "total": len(ds), "targets": targets, "outliers": len(ds) - targets}))
     return 0
 
 
 def _cmd_select(args, parser) -> int:
-    if args.folds < 2:
-        parser.error("--folds must be >= 2")
-    samples = load_csv(_schema_from_args(args, args.data))
-    if args.target_label is not None:
-        samples = [s for s in samples if s.label == 1]
-    X = [s.features for s in samples]
     cfg = SelectionConfig(folds=args.folds, sigma_thr=args.sigma_thr, eta=args.eta)
+    try:
+        cfg.validate()
+    except InvalidInputError as exc:
+        parser.error(str(exc))
+    ds = load_csv(_schema_from_args(args, args.data))
+    X = ds.X if args.target_label is None else ds.X[ds.y == 1]
     result = select(X, args.framework, cfg, seed=args.seed)
     print(json.dumps(result.to_json_dict()))
     return 0
@@ -250,14 +245,14 @@ def _cmd_run(args, parser) -> int:
         parser.error(str(exc))
     path = Path(args.input)
     if path.suffix == ".json":
-        samples = gen_stream(_load_spec(args.input))
+        ds = gen_stream(_load_spec(args.input))
     else:
-        samples = load_csv(_schema_from_args(args, args.input))
+        ds = load_csv(_schema_from_args(args, args.input))
     if protocol == "stationary":
-        report = run_stationary(samples, cfg)
+        report = run_stationary(ds, cfg)
         token = "stationary"
     else:
-        report = run_stream(samples, cfg)
+        report = run_stream(ds, cfg)
         token = cfg.mode
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
 from .models import fit_boundary, fit_reconstruction
 from .selection import FRAMEWORKS, SelectionConfig, select
-from .streams import features_of, labels_of
+from .streams import Dataset
 
 
 @dataclass
@@ -60,17 +60,7 @@ class RunConfig:
             raise InvalidInputError(f"lambda must be positive, got {self.lam}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "framework": self.framework,
-            "mode": self.mode,
-            "window": self.window,
-            "chunk": self.chunk,
-            "eta": self.eta,
-            "lambda": self.lam,
-            "sigma": self.sigma,
-            "runs": self.runs,
-            "seed": self.seed,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -83,19 +73,8 @@ class EvalReport:
     config: dict = field(default_factory=dict)
     run_aucs: list[float] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "auc": self.auc,
-            "step_accuracy": self.step_accuracy,
-            "confusion": self.confusion,
-            "timing": self.timing,
-            "config": self.config,
-            "run_aucs": self.run_aucs,
-        }
-
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
+        Path(path).write_text(json.dumps(asdict(self), indent=2))
 
     def write_step_csv(self, path) -> None:
         with Path(path).open("w") as fh:
@@ -175,7 +154,7 @@ def _maybe_steps(correct: list[bool], steps: int = 100) -> list[float] | None:
     return stepwise_accuracy(correct, steps).tolist()
 
 
-def run_stationary(dataset, cfg: RunConfig) -> EvalReport:
+def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
     """Repeated-shuffle protocol on a stationary labeled dataset.
 
     Each run trains on 70% of the targets and tests on the remaining targets
@@ -183,14 +162,12 @@ def run_stationary(dataset, cfg: RunConfig) -> EvalReport:
     averages per-run AUC.
     """
     cfg.validate()
-    X, y = features_of(dataset), labels_of(dataset)
+    X, y = dataset.X, dataset.y
     target_idx = np.flatnonzero(y == 1)
     outlier_idx = np.flatnonzero(y == -1)
     if target_idx.size < 2 or outlier_idx.size < 1:
         raise InsufficientDataError("stationary protocol needs >= 2 targets and >= 1 outlier")
-    n_train = max(1, int(0.7 * target_idx.size))
-    if n_train >= target_idx.size:
-        n_train = target_idx.size - 1
+    n_train = min(max(1, int(0.7 * target_idx.size)), target_idx.size - 1)
 
     lam = sigma = None
     timing = {"train_s": 0.0, "forget_s": 0.0, "test_s": 0.0}
@@ -220,7 +197,7 @@ def run_stationary(dataset, cfg: RunConfig) -> EvalReport:
         correct.extend((predicted == actual).tolist())
 
     n_scored = sum(total.values())
-    report = EvalReport(
+    return EvalReport(
         overall_accuracy=(total["tp"] + total["tn"]) / n_scored,
         auc=float(np.mean(run_aucs)),
         step_accuracy=_maybe_steps(correct),
@@ -229,10 +206,9 @@ def run_stationary(dataset, cfg: RunConfig) -> EvalReport:
         config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
         run_aucs=run_aucs,
     )
-    return report
 
 
-def run_stream(stream, cfg: RunConfig) -> EvalReport:
+def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     """Prequential evaluation of a labeled stream, static or sliding.
 
     The model is initialized on the first ``cfg.window`` target samples. Every
@@ -240,7 +216,7 @@ def run_stream(stream, cfg: RunConfig) -> EvalReport:
     the model slides whenever ``cfg.chunk`` new target samples have arrived.
     """
     cfg.validate()
-    X, y = features_of(stream), labels_of(stream)
+    X, y = stream.X, stream.y
     target_pos = np.flatnonzero(y == 1)
     if target_pos.size < cfg.window:
         raise InsufficientDataError(
@@ -255,7 +231,7 @@ def run_stream(stream, cfg: RunConfig) -> EvalReport:
     timing["train_s"] += time.perf_counter() - t0
 
     first = int(init_pos[-1]) + 1
-    predicted = np.empty(len(stream) - first, dtype=int)
+    predicted = np.empty(len(X) - first, dtype=int)
     start = first
 
     def flush(end: int) -> None:
@@ -282,7 +258,7 @@ def run_stream(stream, cfg: RunConfig) -> EvalReport:
             t = time.perf_counter()
             model.absorb(X[chunk_pos])
             timing["train_s"] += time.perf_counter() - t
-    flush(len(stream))
+    flush(len(X))
 
     actual = y[first:]
     if actual.size == 0:

@@ -112,6 +112,10 @@ class SelectionConfig:
     def validate(self) -> None:
         if self.folds < 2:
             raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
+        if not 0 < self.eta <= 1:
+            raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
+        if self.sigma_thr < 0:
+            raise InvalidInputError(f"sigma_thr must be >= 0, got {self.sigma_thr!r}")
         if not self.lambdas or any(l <= 0 for l in self.lambdas):
             raise InvalidInputError("lambdas must be a non-empty list of positive reals")
         if self.sigmas is not None and (not self.sigmas or any(s <= 0 for s in self.sigmas)):

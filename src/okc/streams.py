@@ -1,5 +1,9 @@
 """Synthetic stream generation, CSV ingestion and one-class relabeling.
 
+Every producer returns one columnar :class:`Dataset`: features ``X`` in
+stream order and labels ``y``, which the protocols in :mod:`okc.evaluation`
+read directly.
+
 Generators cover four drift families: a stationary ring, a unimodal Gaussian
 pair whose means translate (optionally with a sinusoidal transverse wobble),
 a multimodal Gaussian pair with alternating mode dominance, and a pair of
@@ -13,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +26,28 @@ from .errors import EmptyTargetError, FormatError, SchemaError, SpecError
 FAMILIES = ("ring", "unimodal_drift", "multimodal_drift", "rotating")
 
 
-@dataclass
-class LabeledSample:
+class LabeledSample(NamedTuple):
     features: np.ndarray
-    label: int  # +1 target, -1 outlier (raw class ids before to_one_class)
-    timestamp: int
+    label: object
 
 
-def features_of(samples) -> np.ndarray:
-    return np.array([s.features for s in samples], dtype=float)
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Features ``X`` (n x d floats) and labels ``y``: +1/-1 ints, or raw
+    int/float/str labels in an object array. ``ds[i]`` and iteration give
+    ``(features, label)`` rows, the features a view into ``X``."""
 
+    X: np.ndarray
+    y: np.ndarray
 
-def labels_of(samples) -> np.ndarray:
-    return np.array([s.label for s in samples])
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, i) -> LabeledSample:
+        return LabeledSample(self.X[i], self.y.item(i))
+
+    def __iter__(self):
+        return map(LabeledSample, self.X, self.y.tolist())
 
 
 @dataclass
@@ -107,7 +121,7 @@ class DriftStreamSpec:
         return off
 
 
-def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> list[LabeledSample]:
+def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> Dataset:
     """``n`` target samples drawn uniformly from the 2-D annulus."""
     if not 0.0 < r_inner < r_outer:
         raise SpecError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
@@ -115,11 +129,11 @@ def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> list[Labe
     radius = np.sqrt(rng.random(n) * (r_outer**2 - r_inner**2) + r_inner**2)
     angle = rng.random(n) * 2.0 * math.pi
     xy = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-    return [LabeledSample(xy[i], 1, i) for i in range(n)]
+    return Dataset(xy, np.ones(n, dtype=int))
 
 
-def gen_stream(spec: DriftStreamSpec) -> list[LabeledSample]:
-    """Generate the labeled stream described by ``spec``, ordered by timestamp."""
+def gen_stream(spec: DriftStreamSpec) -> Dataset:
+    """Generate the labeled stream described by ``spec``, in stream order."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     total, dims = spec.total, spec.n_dims
@@ -132,7 +146,7 @@ def gen_stream(spec: DriftStreamSpec) -> list[LabeledSample]:
         means = _class_means(spec, rng, steps, labels)
         X = means + spec.spread * rng.standard_normal((total, dims))
 
-    return [LabeledSample(X[i], int(labels[i]), i) for i in range(total)]
+    return Dataset(X, labels)
 
 
 def _ring_positions(spec, rng, labels) -> np.ndarray:
@@ -210,16 +224,15 @@ def _parse_raw_label(cell: str):
     return cell
 
 
-def load_csv(schema: DatasetSchema) -> list[LabeledSample]:
-    """Read ``schema.path`` into labeled samples, preserving row order.
+def load_csv(schema: DatasetSchema) -> Dataset:
+    """Read ``schema.path`` into a dataset, preserving row order; blank lines are skipped.
 
     Raises FormatError (with the offending line number) on non-numeric
     features and SchemaError when the label column cannot be resolved.
     """
     path = Path(schema.path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        rows = list(reader)
+        rows = list(csv.reader(fh, delimiter=schema.delimiter))
     start = 0
     label_idx = schema.label_column
     if schema.header:
@@ -234,69 +247,79 @@ def load_csv(schema: DatasetSchema) -> list[LabeledSample]:
     elif isinstance(label_idx, str):
         raise SchemaError("label column given by name but the file has no header")
 
-    samples: list[LabeledSample] = []
+    try:
+        X, labels = _columns([row for row in rows[start:] if row], label_idx)
+    except ValueError:
+        _raise_first_bad_row(rows, start, label_idx, schema.label_column)
+        raise
+    if schema.target_label is None:
+        y = np.fromiter(map(_parse_raw_label, labels), object, len(labels))
+    else:
+        y = np.where(np.fromiter(map(str(schema.target_label).__eq__, labels), bool, len(labels)), 1, -1)
+    ds = Dataset(X, y)
+    return minmax_normalize(ds) if schema.normalize else ds
+
+
+def _columns(rows: list[list[str]], label_idx: int) -> tuple[np.ndarray, list[str]]:
+    """All rows' features and stripped label cells at once; a malformed row raises ValueError."""
+    if not rows:
+        return np.empty((0, 0)), []
+    width = len(rows[0])
+    if any(len(row) != width for row in rows) or not -width <= label_idx < width:
+        raise ValueError("rows differ in width or lack the label column")
+    columns = list(zip(*rows))
+    labels = list(map(str.strip, columns.pop(label_idx)))
+    X = np.empty((len(rows), width - 1))
+    for j, column in enumerate(columns):
+        X[:, j] = np.fromiter(map(float, column), float, len(rows))
+    return X, labels
+
+
+def _raise_first_bad_row(rows, start: int, label_idx: int, label_column) -> None:
+    """Raise the error of the first malformed data row, naming its line."""
     width: int | None = None
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if not row:
             continue
         if not -len(row) <= label_idx < len(row):
-            raise SchemaError(f"line {lineno}: no column {schema.label_column!r} in {len(row)}-cell row")
+            raise SchemaError(f"line {lineno}: no column {label_column!r} in {len(row)}-cell row")
         resolved = label_idx % len(row)
         cells = [c for i, c in enumerate(row) if i != resolved]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise FormatError(f"line {lineno}: expected {width} features, got {len(cells)}")
-        feats = np.empty(len(cells))
-        for i, cell in enumerate(cells):
+        for cell in cells:
             try:
-                feats[i] = float(cell)
+                float(cell)
             except ValueError:
                 raise FormatError(f"line {lineno}: non-numeric feature {cell!r}") from None
-        raw = row[resolved].strip()
-        if schema.target_label is not None:
-            label = 1 if raw == str(schema.target_label) else -1
-        else:
-            label = _parse_raw_label(raw)
-        samples.append(LabeledSample(feats, label, len(samples)))
-    if schema.normalize:
-        samples = minmax_normalize(samples)
-    return samples
 
 
-def save_csv(samples, path) -> None:
-    """Write samples as ``f1..fn,label`` with a header, full float precision."""
-    path = Path(path)
-    n = samples[0].features.shape[0] if samples else 0
-    with path.open("w", newline="") as fh:
+def save_csv(ds: Dataset, path) -> None:
+    """Write a dataset as ``f1..fn,label`` with a header, full float precision."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i + 1}" for i in range(n)] + ["label"])
-        for s in samples:
-            writer.writerow([repr(float(v)) for v in s.features] + [s.label])
+        writer.writerow([f"f{i + 1}" for i in range(ds.X.shape[1])] + ["label"])
+        writer.writerows([*map(repr, row), label] for row, label in zip(ds.X.tolist(), ds.y.tolist()))
 
 
-def minmax_normalize(samples) -> list[LabeledSample]:
-    """Rescale every feature to [0, 1] over the whole list (constant columns map to 0)."""
-    X = features_of(samples)
-    lo, hi = X.min(axis=0), X.max(axis=0)
+def minmax_normalize(ds: Dataset) -> Dataset:
+    """Rescale every feature to [0, 1] over all rows (constant columns map to 0)."""
+    if not len(ds):
+        return ds
+    lo, hi = ds.X.min(axis=0), ds.X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    X = (X - lo) / span
-    return [LabeledSample(X[i], s.label, s.timestamp) for i, s in enumerate(samples)]
+    return Dataset((ds.X - lo) / span, ds.y)
 
 
-def to_one_class(samples, target_labels) -> tuple[list[LabeledSample], dict[str, int]]:
-    """Map raw labels to +1 (in ``target_labels``) / -1, preserving everything else.
-
-    Returns the relabeled list and the class counts.
-    """
+def to_one_class(ds: Dataset, target_labels) -> tuple[Dataset, dict[str, int]]:
+    """Map raw labels to +1 (in ``target_labels``) / -1, sharing ``X``; returns the class counts too."""
     target_labels = set(target_labels)
     if not target_labels:
         raise EmptyTargetError("target label set is empty")
-    relabeled = [
-        LabeledSample(s.features, 1 if s.label in target_labels else -1, s.timestamp)
-        for s in samples
-    ]
-    n_target = sum(1 for s in relabeled if s.label == 1)
+    is_target = np.fromiter(map(target_labels.__contains__, ds.y.tolist()), bool, len(ds))
+    n_target = int(is_target.sum())
     if n_target == 0:
         raise EmptyTargetError(f"no sample carries a label in {sorted(map(str, target_labels))}")
-    return relabeled, {"target": n_target, "outlier": len(relabeled) - n_target}
+    return Dataset(ds.X, np.where(is_target, 1, -1)), {"target": n_target, "outlier": len(ds) - n_target}

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from okc import (
+    Dataset,
     DriftStreamSpec,
     KernelSpec,
-    LabeledSample,
     RegGramState,
     RunConfig,
     SelectionConfig,
@@ -31,7 +31,6 @@ from okc import (
     select,
     slide_benchmark,
 )
-from okc.streams import features_of
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -127,8 +126,7 @@ def test_criterion_3_threshold_semantics():
 
 def test_criterion_4_ring_descriptor():
     start = time.perf_counter()
-    ring = gen_ring(500, 1.0, 2.0, seed=0)
-    X = features_of(ring)
+    X = gen_ring(500, 1.0, 2.0, seed=0).X
     chosen = select(X, "boundary", SelectionConfig(eta=0.05), seed=0)
     model = fit_boundary(RegGramState(X, chosen.lam, KernelSpec(sigma=chosen.sigma)), 0.05)
     rejection = float(np.mean(model.train_distances > model.theta))
@@ -242,15 +240,12 @@ def _find_breast_cancer_csv():
 def test_criterion_9_breast_cancer_reproduction():
     # UCI format: sample id, 9 integer features, class (2 = benign target,
     # 4 = malignant); rows with missing '?' cells are dropped
-    samples = []
-    for line in _find_breast_cancer_csv().read_text().splitlines():
-        cells = line.strip().split(",")
-        if len(cells) < 11 or "?" in cells:
-            continue
-        feats = np.array([float(c) for c in cells[1:10]])
-        samples.append(LabeledSample(feats, 1 if cells[10] == "2" else -1, len(samples)))
+    rows = [line.strip().split(",") for line in _find_breast_cancer_csv().read_text().splitlines()]
+    rows = [cells for cells in rows if len(cells) >= 11 and "?" not in cells]
+    X = np.array([[float(c) for c in cells[1:10]] for cells in rows])
+    y = np.array([1 if cells[10] == "2" else -1 for cells in rows])
     cfg = RunConfig(framework="boundary", sigma="auto", eta=0.05, runs=20, seed=0)
-    rep = run_stationary(samples, cfg)
+    rep = run_stationary(Dataset(X, y), cfg)
     report(
         9,
         "breast cancer 20-run mean AUC near reported value",

@@ -120,6 +120,17 @@ def test_select_folds_one_is_usage_error(blob_csv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["select", "run"])
+def test_normalize_without_data_rows_is_insufficient_data(tmp_path, capsys, command):
+    path = tmp_path / "empty.csv"
+    path.write_text("f1,f2,label\n")
+    flags = {"select": [], "run": ["--sigma", "1", "--out", str(tmp_path)]}[command]
+    code, out, err = run_cli([command, str(path), "--header", "--normalize", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---- run --------------------------------------------------------------------
 
 

@@ -101,3 +101,18 @@ def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc,
     assert named in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("spec_*"))
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--eta", "1.5"], "eta must lie in (0, 1], got 1.5"),
+    (["--eta", "0"], "eta must lie in (0, 1], got 0.0"),
+    (["--sigma-thr", "-1"], "sigma_thr must be >= 0, got -1.0"),
+    (["--folds", "1"], "folds must be >= 2, got 1"),
+])
+def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, named):
+    data = write(tmp_path, "d.csv", "".join(f"{i}.0,{i % 3}.5,1\n" for i in range(20)))
+    err = usage_error(["select", data, "--target-label", "1", *flags], capsys)
+    assert named in err
+    assert "Traceback" not in err
+    # the settings are checked before the data is read
+    assert named in usage_error(["select", str(tmp_path / "missing.csv"), *flags], capsys)

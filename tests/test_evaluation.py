@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from okc import (
+    Dataset,
     DriftStreamSpec,
     InsufficientDataError,
     InvalidInputError,
     KernelSpec,
-    LabeledSample,
     RegGramState,
     RunConfig,
     UndefinedMetricError,
@@ -22,7 +22,6 @@ from okc import (
 import okc.models
 from okc.evaluation import batch_sizes
 from okc.models import BoundaryModel, ReconstructionModel, fit_reconstruction
-from okc.streams import features_of, labels_of
 
 
 # ---- auc --------------------------------------------------------------------
@@ -123,13 +122,11 @@ def test_runconfig_validation():
 
 def two_blob_dataset(n=400, separation=10.0, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
+    X, y = np.empty((n, 2)), np.empty(n, dtype=int)
     for i in range(n):
-        if rng.random() < 0.5:
-            samples.append(LabeledSample(rng.normal(size=2), 1, i))
-        else:
-            samples.append(LabeledSample(rng.normal(size=2) + [separation, 0.0], -1, i))
-    return samples
+        y[i] = 1 if rng.random() < 0.5 else -1
+        X[i] = rng.normal(size=2) + ([0.0, 0.0] if y[i] == 1 else [separation, 0.0])
+    return Dataset(X, y)
 
 
 def test_stationary_separable_blobs_high_auc():
@@ -174,7 +171,7 @@ def test_stationary_single_run_auc_matches_confusion():
 
 
 def test_stationary_needs_both_classes():
-    data = [LabeledSample(np.zeros(2), 1, i) for i in range(50)]
+    data = Dataset(np.zeros((50, 2)), np.ones(50, dtype=int))
     with pytest.raises(InsufficientDataError):
         run_stationary(data, RunConfig(sigma=1.0))
 
@@ -246,7 +243,7 @@ def test_stream_static_scores_in_window_sized_blocks(monkeypatch, framework):
     run_stream(stream, cfg)
     monkeypatch.undo()
 
-    X, y = features_of(stream), labels_of(stream)
+    X, y = stream.X, stream.y
     init = np.flatnonzero(y == 1)[: cfg.window]
     fit = fit_boundary if framework == "boundary" else fit_reconstruction
     model = fit(RegGramState(X[init], cfg.lam, KernelSpec(sigma=cfg.sigma)), cfg.eta)
@@ -262,12 +259,13 @@ def test_stream_scores_each_sample_before_the_slide_it_completes(monkeypatch):
     # slide, so the last slide must happen too
     full = drifting_stream(1500, seed=35)
     cfg = stream_cfg("sliding")
-    tpos = np.flatnonzero(labels_of(full) == 1)
+    tpos = np.flatnonzero(full.y == 1)
     # the last slide whose completing target is followed by a non-target
     slides = max(k for k in range(1, (tpos.size - cfg.window) // cfg.chunk)
                  if tpos[cfg.window + k * cfg.chunk] > tpos[cfg.window + k * cfg.chunk - 1] + 1)
     slide_at = tpos[cfg.window + cfg.chunk * np.arange(1, slides + 1) - 1]
-    stream = full[: tpos[cfg.window + slides * cfg.chunk]]
+    end = tpos[cfg.window + slides * cfg.chunk]
+    stream = Dataset(full.X[:end], full.y[:end])
     seen, done = [], [0]  # slides done when each scored row was scored
     real_scores, real_absorb = BoundaryModel.scores, BoundaryModel.absorb
 
@@ -311,7 +309,7 @@ def test_stream_prequential_matches_per_sample_replay():
     cfg = stream_cfg("sliding")
     rep = run_stream(stream, cfg)
 
-    X, y = features_of(stream), labels_of(stream)
+    X, y = stream.X, stream.y
     tpos = np.flatnonzero(y == 1)
     init = tpos[: cfg.window]
     model = fit_boundary(RegGramState(X[init], cfg.lam, KernelSpec(sigma=cfg.sigma)), cfg.eta)

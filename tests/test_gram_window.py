@@ -299,7 +299,8 @@ def drift_targets():
     # the README's drift stream, lengthened so that 2000 slides of 50 fit
     spec = DriftStreamSpec(family="unimodal_drift", total=210_000, drift_period=200,
                            velocity=[0.25, 0.0], class_offset=[8.0, 0.0], seed=42)
-    return np.array([s.features for s in gen_stream(spec) if s.label == 1])
+    stream = gen_stream(spec)
+    return stream.X[stream.y == 1]
 
 
 @pytest.mark.parametrize("window, slides, lam, sigma, bound", [

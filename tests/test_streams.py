@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from okc import (
+    Dataset,
     DatasetSchema,
     DriftStreamSpec,
     EmptyTargetError,
     FormatError,
-    LabeledSample,
     SchemaError,
     SpecError,
     gen_ring,
@@ -16,25 +16,23 @@ from okc import (
     save_csv,
     to_one_class,
 )
-from okc.streams import features_of, labels_of
 
 
 # ---- ring -------------------------------------------------------------------
 
 
 def test_ring_radii_within_annulus():
-    samples = gen_ring(2000, 1.0, 2.0, seed=0)
-    radii = np.linalg.norm(features_of(samples), axis=1)
+    ring = gen_ring(2000, 1.0, 2.0, seed=0)
+    radii = np.linalg.norm(ring.X, axis=1)
     assert radii.min() >= 1.0
     assert radii.max() <= 2.0
-    assert all(s.label == 1 for s in samples)
+    assert np.all(ring.y == 1)
 
 
 def test_ring_mean_radius_matches_annulus_expectation():
     n = 10_000
     r_in, r_out = 1.0, 2.0
-    samples = gen_ring(n, r_in, r_out, seed=1)
-    radii = np.linalg.norm(features_of(samples), axis=1)
+    radii = np.linalg.norm(gen_ring(n, r_in, r_out, seed=1).X, axis=1)
     # E[r] for a uniform annulus, with its standard error
     mean = 2.0 * (r_out**3 - r_in**3) / (3.0 * (r_out**2 - r_in**2))
     second = (r_out**4 - r_in**4) / (2.0 * (r_out**2 - r_in**2))
@@ -45,7 +43,7 @@ def test_ring_mean_radius_matches_annulus_expectation():
 def test_ring_deterministic():
     a = gen_ring(100, 0.5, 1.5, seed=7)
     b = gen_ring(100, 0.5, 1.5, seed=7)
-    assert np.array_equal(features_of(a), features_of(b))
+    assert np.array_equal(a.X, b.X)
 
 
 def test_ring_validates_radii():
@@ -61,20 +59,14 @@ def test_ring_validates_radii():
 def test_stream_deterministic_bitwise():
     spec = DriftStreamSpec(family="unimodal_drift", total=500, seed=3, velocity=[0.2, 0.0])
     a, b = gen_stream(spec), gen_stream(spec)
-    assert np.array_equal(features_of(a), features_of(b))
-    assert np.array_equal(labels_of(a), labels_of(b))
-
-
-def test_stream_timestamps_strictly_increasing():
-    spec = DriftStreamSpec(family="rotating", total=300, seed=0)
-    ts = [s.timestamp for s in gen_stream(spec)]
-    assert ts == list(range(300))
+    assert np.array_equal(a.X, b.X)
+    assert np.array_equal(a.y, b.y)
 
 
 def test_stream_features_finite():
     for family in ("ring", "unimodal_drift", "multimodal_drift", "rotating"):
         spec = DriftStreamSpec(family=family, total=400, seed=5, velocity=[0.1, 0.1])
-        assert np.isfinite(features_of(gen_stream(spec))).all()
+        assert np.isfinite(gen_stream(spec).X).all()
 
 
 def test_stationary_degenerate_first_last_blocks_match():
@@ -82,8 +74,8 @@ def test_stationary_degenerate_first_last_blocks_match():
     spec = DriftStreamSpec(
         family="unimodal_drift", total=8000, drift_period=1000, seed=11, velocity=[0.0, 0.0]
     )
-    samples = gen_stream(spec)
-    X, y = features_of(samples), labels_of(samples)
+    ds = gen_stream(spec)
+    X, y = ds.X, ds.y
     first = X[:1000][y[:1000] == 1]
     last = X[-1000:][y[-1000:] == 1]
     # two-sample z-test on the mean at alpha = 0.01 (crit 2.58 per coordinate)
@@ -98,8 +90,8 @@ def test_unimodal_mean_moves_with_velocity():
     spec = DriftStreamSpec(
         family="unimodal_drift", total=40_000, drift_period=4000, seed=13, velocity=list(v)
     )
-    samples = gen_stream(spec)
-    X, y = features_of(samples), labels_of(samples)
+    ds = gen_stream(spec)
+    X, y = ds.X, ds.y
     steps = np.arange(40_000) // 4000
     for step in (0, 4, 9):
         block = X[(steps == step) & (y == 1)]
@@ -108,7 +100,7 @@ def test_unimodal_mean_moves_with_velocity():
 
 def test_class_balance_binomial():
     spec = DriftStreamSpec(family="unimodal_drift", total=16_000, class_balance=0.5, seed=17)
-    labels = labels_of(gen_stream(spec))
+    labels = gen_stream(spec).y
     targets = int((labels == 1).sum())
     # 8000 +- 4 binomial standard deviations
     assert abs(targets - 8000) < 4 * np.sqrt(16_000 * 0.25)
@@ -119,8 +111,8 @@ def test_multimodal_dominance_alternates():
         family="multimodal_drift", total=30_000, drift_period=100, dominance_period=1,
         mode_count=2, mode_spacing=20.0, seed=19, class_balance=0.5,
     )
-    samples = gen_stream(spec)
-    X, y = features_of(samples), labels_of(samples)
+    ds = gen_stream(spec)
+    X, y = ds.X, ds.y
     steps = np.arange(30_000) // 100
     tgt = y == 1
     # dominant mode flips with step parity: the mean along the mode axis flips sign
@@ -135,8 +127,8 @@ def test_rotating_means_orbit():
         family="rotating", total=40_000, drift_period=100, rotation_period=4,
         orbit_radius=10.0, seed=23, spread=0.5,
     )
-    samples = gen_stream(spec)
-    X, y = features_of(samples), labels_of(samples)
+    ds = gen_stream(spec)
+    X, y = ds.X, ds.y
     steps = np.arange(40_000) // 100
     block0 = X[(steps == 0) & (y == 1)]
     block2 = X[(steps == 2) & (y == 1)]  # half a revolution later
@@ -174,7 +166,7 @@ def test_load_csv_with_header_and_target_label(tmp_path):
     assert len(samples) == 2
     assert samples[0].label == 1 and samples[1].label == -1
     assert samples[0].features.tolist() == [1.0, 2.0]
-    assert [s.timestamp for s in samples] == [0, 1]
+    assert samples.X.shape == (2, 2)
 
 
 def test_load_csv_label_by_index(tmp_path):
@@ -218,27 +210,100 @@ def test_load_csv_missing_label_column(tmp_path):
 
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(29)
-    samples = [LabeledSample(rng.normal(size=3), 1 if i % 2 else -1, i) for i in range(20)]
+    ds = Dataset(rng.normal(size=(20, 3)), np.where(np.arange(20) % 2, 1, -1))
     path = tmp_path / "rt.csv"
-    save_csv(samples, path)
+    save_csv(ds, path)
     loaded = load_csv(DatasetSchema(path=path, label_column="label", target_label="1", header=True))
-    assert np.array_equal(features_of(loaded), features_of(samples))
-    assert np.array_equal(labels_of(loaded), labels_of(samples))
+    assert np.array_equal(loaded.X, ds.X)
+    assert np.array_equal(loaded.y, ds.y)
 
 
 def test_minmax_normalize_option(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("0.0,10.0,x\n5.0,20.0,x\n10.0,10.0,y\n")
-    samples = load_csv(DatasetSchema(path=path, target_label="x", normalize=True))
-    X = features_of(samples)
+    X = load_csv(DatasetSchema(path=path, target_label="x", normalize=True)).X
     assert X.min() == 0.0 and X.max() == 1.0
     np.testing.assert_allclose(X[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_minmax_normalize_constant_column():
-    samples = [LabeledSample(np.array([3.0, i]), 1, i) for i in range(4)]
-    X = features_of(minmax_normalize(samples))
+    ds = Dataset(np.column_stack([np.full(4, 3.0), np.arange(4.0)]), np.ones(4, dtype=int))
+    X = minmax_normalize(ds).X
     assert np.all(X[:, 0] == 0.0)
+    np.testing.assert_allclose(X[:, 1], [0.0, 1 / 3, 2 / 3, 1.0])
+
+
+def test_load_csv_without_data_rows_gives_an_empty_dataset(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,cls\n\n")
+    for normalize in (False, True):
+        ds = load_csv(DatasetSchema(path=path, label_column="cls", target_label="1", header=True,
+                                    normalize=normalize))
+        assert len(ds) == 0
+        assert ds.X.shape == (0, 0) and ds.y.shape == (0,)
+
+
+def test_minmax_normalize_without_rows_returns_the_dataset():
+    ds = Dataset(np.empty((0, 2)), np.empty(0, dtype=int))
+    assert minmax_normalize(ds) is ds
+
+
+# ---- row access -------------------------------------------------------------
+
+
+def raw_label_csv(tmp_path, target_label=None):
+    path = tmp_path / "rows.csv"
+    path.write_text("x,y,cls\n1.5,-2.0,3\n0.25,4.0,jack\n-1.0,0.5,2.5\n")
+    return load_csv(DatasetSchema(path=path, label_column="cls", target_label=target_label, header=True))
+
+
+ROW_SOURCES = {
+    "gen_stream": lambda tmp_path: gen_stream(DriftStreamSpec(total=300, velocity=[0.1, 0.0], seed=41)),
+    "gen_ring": lambda tmp_path: gen_ring(200, 1.0, 2.0, seed=43),
+    "load_csv_target": lambda tmp_path: raw_label_csv(tmp_path, target_label="3"),
+    "load_csv_raw": raw_label_csv,
+}
+
+
+@pytest.mark.parametrize("source", sorted(ROW_SOURCES))
+def test_iterating_rows_rebuilds_the_columns_bitwise(tmp_path, source):
+    ds = ROW_SOURCES[source](tmp_path)
+    rows = list(ds)
+    X = np.array([row.features for row in rows], dtype=float)
+    labels = [row.label for row in rows]
+    assert X.shape == ds.X.shape and X.tobytes() == ds.X.tobytes()
+    assert labels == ds.y.tolist()
+    assert [type(label) for label in labels] == [type(label) for label in ds.y.tolist()]
+    if ds.y.dtype != object:
+        y = np.array(labels)
+        assert y.dtype == ds.y.dtype and np.array_equal(y, ds.y)
+
+
+@pytest.mark.parametrize("source", sorted(ROW_SOURCES))
+def test_rows_by_numpy_integer_index(tmp_path, source):
+    ds = ROW_SOURCES[source](tmp_path)
+    assert len(ds) == ds.X.shape[0] == ds.y.shape[0]
+    for i in np.arange(len(ds))[::7]:
+        row = ds[i]
+        assert np.array_equal(row.features, ds.X[i]) and np.shares_memory(row.features, ds.X)
+        assert row.label == ds.y.tolist()[i]
+        assert type(row.label) is type(ds.y.tolist()[i])
+    assert np.array_equal(ds[np.int64(-1)].features, ds.X[-1])
+
+
+def test_raw_labels_keep_their_types(tmp_path):
+    ds = raw_label_csv(tmp_path)
+    assert [(type(row.label), row.label) for row in ds] == [(int, 3), (str, "jack"), (float, 2.5)]
+    assert ds[np.int64(0)].label == 3 and type(ds[np.int64(0)].label) is int
+    assert ds[1].label == "jack"
+
+
+def test_to_one_class_shares_the_csv_features(tmp_path):
+    ds = raw_label_csv(tmp_path)
+    relabeled, counts = to_one_class(ds, {3, "jack"})
+    assert relabeled.X is ds.X
+    assert relabeled.y.tolist() == [1, 1, -1]
+    assert counts == {"target": 2, "outlier": 1}
 
 
 # ---- one-class relabeling ---------------------------------------------------
@@ -246,26 +311,62 @@ def test_minmax_normalize_constant_column():
 
 def test_to_one_class_poker_style():
     rng = np.random.default_rng(31)
-    raw = [LabeledSample(rng.normal(size=2), int(rng.integers(0, 10)), i) for i in range(500)]
+    raw = Dataset(rng.normal(size=(500, 2)), rng.integers(0, 10, 500))
     relabeled, counts = to_one_class(raw, {0})
-    assert counts["target"] == sum(1 for s in raw if s.label == 0)
+    assert counts["target"] == int(np.sum(raw.y == 0))
     assert counts["target"] + counts["outlier"] == 500
-    for before, after in zip(raw, relabeled):
-        assert after.label == (1 if before.label == 0 else -1)
-        assert after.features is before.features
-        assert after.timestamp == before.timestamp
+    assert relabeled.y.tolist() == [1 if label == 0 else -1 for label in raw.y.tolist()]
+    assert relabeled.X is raw.X
 
 
 def test_to_one_class_all_targets():
-    raw = [LabeledSample(np.zeros(1), 5, i) for i in range(3)]
+    raw = Dataset(np.zeros((3, 1)), np.array([5, 5, 5], dtype=object))
     relabeled, counts = to_one_class(raw, {5})
-    assert all(s.label == 1 for s in relabeled)
+    assert np.all(relabeled.y == 1)
     assert counts == {"target": 3, "outlier": 0}
 
 
 def test_to_one_class_disjoint_set_raises():
-    raw = [LabeledSample(np.zeros(1), 5, 0)]
+    raw = Dataset(np.zeros((1, 1)), np.array([5], dtype=object))
     with pytest.raises(EmptyTargetError):
         to_one_class(raw, {7})
     with pytest.raises(EmptyTargetError):
         to_one_class(raw, set())
+
+
+# ---- load errors name the first bad line ------------------------------------
+
+
+def write_rows(path, rows):
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_load_csv_non_numeric_cell_deep_in_file_names_its_line(tmp_path):
+    # header on line 1, data on lines 2..2001, blank lines among the data
+    rows = ["x,y,cls"] + [f"{i}.5,{-i}.25,{'a' if i % 3 else 'b'}" for i in range(2000)]
+    rows[10] = rows[11] = rows[700] = ""
+    rows[1499] = "7.0,oops,a"  # line 1500
+    rows[1800] = "nope,1.0,b"  # a later bad cell must not be the one named
+    path = write_rows(tmp_path / "deep.csv", rows)
+    with pytest.raises(FormatError, match=r"^line 1500: non-numeric feature 'oops'$"):
+        load_csv(DatasetSchema(path=path, label_column="cls", target_label="a", header=True))
+
+
+def test_load_csv_ragged_row_after_blank_rows_names_its_line(tmp_path):
+    path = write_rows(tmp_path / "ragged.csv",
+                      ["1.0,2.0,a", "", "", "3.0,4.0,b", "5.0,a", "6.0,7.0,8.0,a"])
+    with pytest.raises(FormatError, match=r"^line 5: expected 2 features, got 1$"):
+        load_csv(DatasetSchema(path=path, target_label="a"))
+
+
+def test_load_csv_label_index_out_of_range_on_short_row(tmp_path):
+    path = write_rows(tmp_path / "short.csv", ["1.0,2.0,a", "", "3.0,4.0,b", "5.0", "x,y,a"])
+    with pytest.raises(SchemaError, match=r"^line 4: no column 2 in 1-cell row$"):
+        load_csv(DatasetSchema(path=path, label_column=2, target_label="a"))
+
+
+def test_load_csv_first_bad_line_wins_across_error_kinds(tmp_path):
+    path = write_rows(tmp_path / "mixed.csv", ["1.0,2.0,a", "", "3.0,bad,b", "5.0,a"])
+    with pytest.raises(FormatError, match=r"^line 3: non-numeric feature 'bad'$"):
+        load_csv(DatasetSchema(path=path, target_label="a"))
