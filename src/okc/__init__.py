@@ -7,6 +7,7 @@ from .errors import (
     FormatError,
     IllConditionedError,
     InsufficientDataError,
+    InsufficientMemoryError,
     InvalidInputError,
     OkcError,
     SchemaError,

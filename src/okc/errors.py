@@ -29,6 +29,10 @@ class InsufficientDataError(OkcError):
     """Too few samples for the requested operation or protocol."""
 
 
+class InsufficientMemoryError(OkcError):
+    """An array the operation needs could not be allocated."""
+
+
 class UndefinedMetricError(OkcError):
     """A metric is undefined for the given inputs (e.g. a class is absent)."""
 

@@ -45,6 +45,16 @@ kernel eigenvalues lie in [0, n] (the trace is n), so ``cond_2 <= n lambda +
 1``; with lambda <= 1e8, as on the default grid, ``n cond_2`` stays below
 1e14 up to n = 999 training rows, and the band is reachable only for larger
 folds (or larger lambdas).
+
+A width stops early once it is proven inconsistent: after fold k < folds,
+when ``errors[:k].sum(axis=0) / folds > e_thr`` holds for every lambda, its
+remaining folds are not scored. The rule is exact. The mean over folds sums
+the same rows in the same order and divides by the same ``folds``; fold
+errors are non-negative and floating-point rounding is monotone, so the full
+sum is at least the partial one and every lambda's mean error would exceed
+``e_thr`` too. None of the width's candidates could have been returned. Only
+when no candidate at all is consistent are the skipped widths scored in full,
+for the minimum-error fallback.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, InsufficientDataError, InvalidInputError
+from .errors import IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError
 from .gram_window import CONDITION_LIMIT, condition_1
 from .kernel import KernelSpec, gram, pairwise_distance_range
 from .models import first_copies, rejection_threshold
@@ -204,9 +214,14 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
 
 
 def _cv_errors(X: np.ndarray, folds: list[np.ndarray], framework: str,
-               lambdas: list[float], sigma: float, eta: float) -> np.ndarray:
+               lambdas: list[float], sigma: float, eta: float,
+               e_thr: float = math.inf) -> np.ndarray | None:
     """Mean held-out target rejection across folds for every lambda at one
-    sigma; inf where any fold's regularized Gram is numerically unusable."""
+    sigma; inf where any fold's regularized Gram is numerically unusable.
+
+    None once the folds scored so far prove that every lambda's mean exceeds
+    ``e_thr`` (never, with the default); the remaining folds are skipped.
+    """
     K = gram(KernelSpec(sigma=sigma), X)
     lams = np.asarray(lambdas, dtype=float)
     errors = np.empty((len(folds), lams.size))
@@ -214,7 +229,35 @@ def _cv_errors(X: np.ndarray, folds: list[np.ndarray], framework: str,
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         errors[i] = _fold_errors(K[np.ix_(train_idx, train_idx)], K[np.ix_(held_out, train_idx)],
                                  X[train_idx], X[held_out], framework, lams, eta)
+        # the prefix sum of mean below, divided as mean divides (module docstring)
+        if i + 1 < len(folds) and (errors[:i + 1].sum(axis=0) / len(folds) > e_thr).all():
+            return None
     return errors.mean(axis=0)
+
+
+def _scan(X: np.ndarray, folds: list[np.ndarray], framework: str, lambdas: list[float],
+          sigmas: list[float], eta: float, e_thr: float) -> SelectionResult:
+    """The first consistent candidate in scan order (``sigmas`` ascending, then
+    ``lambdas`` descending), else the minimum-error one, the earliest on ties."""
+    scanned = []  # (sigma, errors or None when skipped), in scan order
+    for sigma in sigmas:
+        errors = _cv_errors(X, folds, framework, lambdas, sigma, eta, e_thr)
+        scanned.append((sigma, errors))
+        if errors is None:
+            continue
+        for lam, err in zip(lambdas, errors):
+            if err <= e_thr:
+                return SelectionResult(float(lam), float(sigma), float(err), float(e_thr), True)
+    best: SelectionResult | None = None
+    for sigma, errors in scanned:
+        if errors is None:
+            errors = _cv_errors(X, folds, framework, lambdas, sigma, eta)
+        for lam, err in zip(lambdas, errors):
+            if best is None or err < best.cv_error:
+                best = SelectionResult(float(lam), float(sigma), float(err), float(e_thr), False)
+    if best is None or not np.isfinite(best.cv_error):
+        raise IllConditionedError("every candidate's regularized Gram was numerically unusable")
+    return best
 
 
 def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
@@ -225,6 +268,9 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     cross-validated rejection stays below the consistency threshold is
     returned. If none qualifies the minimum-error candidate is returned with
     ``consistent=False``.
+
+    Raises InsufficientMemoryError when the N x N distance or kernel arrays of
+    the N rows cannot be allocated.
     """
     if framework not in FRAMEWORKS:
         raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
@@ -241,18 +287,13 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     order = rng.permutation(N)
     folds = np.array_split(order, cfg.folds)
     e_thr = consistency_threshold(N // cfg.folds, cfg.eta, cfg.sigma_thr)
-
-    sigmas = cfg.sigmas if cfg.sigmas is not None else sigma_grid(X)
-    # most complex first: tightest kernel, then weakest regularization
-    lambdas = sorted(cfg.lambdas, reverse=True)
-
-    best: SelectionResult | None = None
-    for sigma in sorted(sigmas):
-        for lam, err in zip(lambdas, _cv_errors(X, folds, framework, lambdas, sigma, cfg.eta)):
-            if err <= e_thr:
-                return SelectionResult(float(lam), float(sigma), float(err), float(e_thr), True)
-            if best is None or err < best.cv_error:
-                best = SelectionResult(float(lam), float(sigma), float(err), float(e_thr), False)
-    if best is None or not np.isfinite(best.cv_error):
-        raise IllConditionedError("every candidate's regularized Gram was numerically unusable")
-    return best
+    try:
+        sigmas = cfg.sigmas if cfg.sigmas is not None else sigma_grid(X)
+        # most complex first: tightest kernel, then weakest regularization
+        return _scan(X, folds, framework, sorted(cfg.lambdas, reverse=True), sorted(sigmas),
+                     cfg.eta, e_thr)
+    except MemoryError as exc:
+        raise InsufficientMemoryError(
+            f"out of memory selecting on {N} rows: the search holds {N} x {N} distance and "
+            f"kernel arrays of {N * N * 8 / 2**30:.1f} GiB each"
+        ) from exc

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import okc.kernel
+from okc import DatasetSchema, load_csv
 from okc.cli import main
 
 RING_SPEC = {"family": "ring", "total": 300, "seed": 4, "r_inner": 1.0, "r_outer": 2.0}
@@ -129,6 +131,26 @@ def test_normalize_without_data_rows_is_insufficient_data(tmp_path, capsys, comm
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["select", "run"])
+def test_select_out_of_memory_exits_1(blob_csv, tmp_path, capsys, monkeypatch, command):
+    # select's N x N arrays cannot be allocated (as for 50k target rows,
+    # 18.7 GiB each): one line naming the row count, no traceback. run
+    # selects on its initial window of 150 targets.
+    def no_memory(X, Y):
+        raise MemoryError(f"Unable to allocate an array with shape ({len(X)}, {len(Y)})")
+
+    targets = int((load_csv(DatasetSchema(path=str(blob_csv), header=True, label_column="label",
+                                          target_label="1")).y == 1).sum())
+    monkeypatch.setattr(okc.kernel, "_squared_distances", no_memory)
+    flags = {"select": [], "run": ["--sigma", "auto", "--out", str(tmp_path)]}[command]
+    code, out, err = run_cli([command, str(blob_csv), "--header", "--label-column", "label",
+                              "--target-label", "1", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    rows = {"select": targets, "run": 150}[command]
+    assert err.startswith(f"error: out of memory selecting on {rows} rows") and "Traceback" not in err
 
 
 # ---- run --------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import okc.gram_window
+import okc.kernel
 import okc.selection
 from okc import (
     DegenerateDataError,
     IllConditionedError,
     InsufficientDataError,
+    InsufficientMemoryError,
     InvalidInputError,
     KernelSpec,
     RegGramState,
@@ -17,6 +19,7 @@ from okc import (
     consistency_threshold,
     fit_boundary,
     fit_reconstruction,
+    gen_ring,
     gram,
     lambda_grid,
     pairwise_distance_range,
@@ -24,7 +27,7 @@ from okc import (
     select,
     sigma_grid,
 )
-from okc.selection import _fold_errors
+from okc.selection import FRAMEWORKS, _fold_errors
 
 
 # ---- consistency threshold -------------------------------------------------
@@ -338,6 +341,92 @@ def test_selection_result_json_shape():
     res = SelectionResult(lam=10.0, sigma=0.5, cv_error=0.04, e_thr=0.09, consistent=True)
     doc = res.to_json_dict()
     assert doc == {"lambda": 10.0, "sigma": 0.5, "cv_error": 0.04, "e_thr": 0.09, "consistent": True}
+
+
+@pytest.mark.parametrize("sigmas", [None, [1.0]])
+def test_select_out_of_memory_names_row_count(monkeypatch, sigmas):
+    # A failed allocation of the N x N distance matrix (sigma grid) or kernel
+    # matrix (fixed sigmas), as NumPy raises it for a too-large N.
+    def no_memory(X, Y):
+        raise MemoryError(f"Unable to allocate an array with shape ({len(X)}, {len(Y)})")
+
+    monkeypatch.setattr(okc.kernel, "_squared_distances", no_memory)
+    with pytest.raises(InsufficientMemoryError, match="on 60 rows"):
+        select(blob(60), "boundary", SelectionConfig(sigmas=sigmas), seed=0)
+
+
+# ---- widths proven inconsistent stop early ---------------------------------
+
+
+def count_eigh(monkeypatch) -> list[int]:
+    """Record the order of every ``np.linalg.eigh`` call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed, cv_error", [(0, 0.092), (4, 0.092), (8, 0.09)])
+def test_select_stops_widths_proven_inconsistent(monkeypatch, seed, cv_error):
+    # On these rings the first width is proven inconsistent by its first fold
+    # and the scan stops at the second width: 1 + 5 eigh calls, not 5 + 5. The
+    # result is the full scan's (lambda 1e-2, sigma #2 and its cv error).
+    X = gen_ring(500, 1.0, 2.0, seed=seed).X
+    calls = count_eigh(monkeypatch)
+    res = select(X, "boundary", seed=0)
+    assert calls == [400] * 6
+    e_thr = consistency_threshold(100, 0.05, 2.0)
+    assert res == SelectionResult(0.01, sigma_grid(X)[1], cv_error, e_thr, True)
+
+
+@pytest.mark.parametrize("framework", FRAMEWORKS)
+def test_select_fallback_scores_skipped_widths_in_full(monkeypatch, framework):
+    # Widths far below every pairwise distance reject every held-out row, so
+    # every candidate's error is 1: the first fold proves each width
+    # inconsistent (1/5 > e_thr), and the minimum error ties across all
+    # widths. The fallback then scores every skipped width in full and still
+    # returns the earliest candidate in scan order.
+    X = blob(50, seed=7) * 10
+    cfg = SelectionConfig(eta=0.05, lambdas=[1e2, 1e4], sigmas=[3e-4, 1e-4, 2e-4])
+    calls = count_eigh(monkeypatch)
+    res = select(X, framework, cfg, seed=0)
+    # one fold per width in the scan, then all five per width in the fallback
+    assert len(calls) == 3 * (1 + cfg.folds)
+    monkeypatch.undo()
+    assert (res.lam, res.sigma, res.cv_error, res.consistent) == (1e4, 1e-4, 1.0, False)
+    assert res == dense_select(X, framework, cfg, seed=0)
+
+
+def test_select_does_not_skip_a_width_whose_partial_mean_equals_e_thr(monkeypatch):
+    # With sigma_thr = 0, e_thr = eta = 0.2 = 1/5. The first fold rejects
+    # every held-out row and the other four none: after one fold the partial
+    # mean equals e_thr without exceeding it, and the full mean is consistent.
+    fold_errors = iter([1.0, 0.0, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(okc.selection, "_fold_errors",
+                        lambda *args: np.full(2, next(fold_errors)))
+    cfg = SelectionConfig(eta=0.2, sigma_thr=0.0, lambdas=[1.0, 10.0], sigmas=[1.0])
+    res = select(blob(50), "boundary", cfg, seed=0)
+    assert res == SelectionResult(10.0, 1.0, 0.2, 0.2, True)
+
+
+def test_select_fallback_ties_go_to_skipped_width_scanned_first(monkeypatch):
+    # The first width is skipped in the scan and the second is scored in
+    # full; both reach the minimum error 0.5. The skipped width comes first
+    # in scan order, so it wins the tie.
+    errors = {1.0: [0.5, 0.7], 2.0: [0.6, 0.5]}
+
+    def cv_errors(X, folds, framework, lambdas, sigma, eta, e_thr=np.inf):
+        return None if sigma == 1.0 and e_thr < np.inf else np.array(errors[sigma])
+
+    monkeypatch.setattr(okc.selection, "_cv_errors", cv_errors)
+    cfg = SelectionConfig(lambdas=[1.0, 10.0], sigmas=[2.0, 1.0])
+    res = select(blob(50), "boundary", cfg, seed=0)
+    assert (res.lam, res.sigma, res.cv_error, res.consistent) == (10.0, 1.0, 0.5, False)
 
 
 # ---- closed-form search against the dense reference ------------------------
