@@ -20,7 +20,6 @@ from .gram_window import RegGramState, direct_inverse_oracle, track_inversions
 from .kernel import KernelSpec, eval_kernel, gram, pairwise_distance_range
 from .models import (
     BoundaryModel,
-    Prediction,
     ReconstructionModel,
     fit_boundary,
     fit_reconstruction,

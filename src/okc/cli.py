@@ -13,6 +13,7 @@ and malformed specs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from .errors import InvalidInputError, OkcError, SpecError
 from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
+from .models import FRAMEWORKS
 from .selection import SelectionConfig, select
 from .streams import DatasetSchema, DriftStreamSpec, gen_stream, load_csv, save_csv
 
@@ -55,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help=grid_doc, description=grid_doc)
     p_sel.add_argument("data", help="CSV dataset path")
     _add_schema_flags(p_sel)
-    p_sel.add_argument("--framework", choices=("boundary", "reconstruction"), default="boundary")
+    p_sel.add_argument("--framework", choices=FRAMEWORKS, default="boundary")
     p_sel.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
     p_sel.add_argument("--sigma-thr", type=float, default=2.0,
                        help="consistency threshold width in std deviations (default 2)")
@@ -74,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sup = argparse.SUPPRESS
     p_run.add_argument("--config", default=None,
                        help="JSON file of run settings; flags given here override it")
-    p_run.add_argument("--framework", choices=("boundary", "reconstruction"), default=sup,
+    p_run.add_argument("--framework", choices=FRAMEWORKS, default=sup,
                        help="(default boundary)")
     p_run.add_argument("--protocol", choices=PROTOCOLS, default=sup,
                        help="prequential stream walk or repeated shuffled-split runs (default stream)")
@@ -233,11 +235,8 @@ def _cmd_run(args, parser) -> int:
     protocol = settings.pop("protocol")
     if protocol not in PROTOCOLS:
         parser.error(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if settings["sigma"] != "auto":
-        try:
-            settings["sigma"] = float(settings["sigma"])
-        except ValueError:
-            parser.error(f"--sigma must be a number or 'auto', got {settings['sigma']!r}")
+    with contextlib.suppress(ValueError):  # "auto", or a word that validate() refuses
+        settings["sigma"] = float(settings["sigma"])
     cfg = RunConfig(**settings)
     try:
         cfg.validate()
@@ -264,14 +263,12 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.slides < 1:
-        parser.error("--slides must be >= 1")
-    if not 0 < args.chunk < args.window:
-        parser.error("need 0 < --chunk < --window")
-    print(json.dumps(slide_benchmark(
-        window=args.window, chunk=args.chunk, dims=args.dims,
-        slides=args.slides, seed=args.seed,
-    )))
+    try:
+        result = slide_benchmark(window=args.window, chunk=args.chunk, dims=args.dims,
+                                 slides=args.slides, seed=args.seed)
+    except InvalidInputError as exc:
+        parser.error(str(exc))
+    print(json.dumps(result))
     return 0
 
 

@@ -13,6 +13,8 @@ between two slides are scored as one batch without changing the semantics.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,8 +24,8 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError, UndefinedMetricError
 from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
-from .models import fit_boundary, fit_reconstruction
-from .selection import FRAMEWORKS, SelectionConfig, select
+from .models import FRAMEWORKS, MODELS, fit_boundary
+from .selection import SelectionConfig, select
 from .streams import Dataset
 
 
@@ -54,10 +56,11 @@ class RunConfig:
             raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
-        if self.sigma != "auto" and float(self.sigma) <= 0:
-            raise InvalidInputError(f"sigma must be positive or 'auto', got {self.sigma!r}")
-        if self.lam <= 0:
-            raise InvalidInputError(f"lambda must be positive, got {self.lam}")
+        # the range tests are written so that NaN fails them too
+        if self.sigma != "auto" and not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < math.inf):
+            raise InvalidInputError(f"sigma must be a positive finite number or 'auto', got {self.sigma!r}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidInputError(f"lambda must be a positive finite number, got {self.lam!r}")
 
     def to_json_dict(self) -> dict:
         return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
@@ -135,10 +138,7 @@ def _confusion(actual: np.ndarray, predicted: np.ndarray) -> dict[str, int]:
 
 
 def _fit(framework: str, X, lam: float, sigma: float, eta: float):
-    state = RegGramState(X, lam, KernelSpec(sigma=sigma))
-    if framework == "boundary":
-        return fit_boundary(state, eta)
-    return fit_reconstruction(state, eta)
+    return MODELS[framework](RegGramState(X, lam, KernelSpec(sigma=sigma)), eta)
 
 
 def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, float]:
@@ -277,24 +277,26 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
 
 
 def slide_benchmark(window: int = 1000, chunk: int = 50, dims: int = 2,
-                    slides: int = 20, seed: int = 0,
-                    lam: float = 1e3, sigma: float = 1.0, eta: float = 0.05) -> dict:
+                    slides: int = 20, seed: int = 0) -> dict:
     """Median per-slide cost of the incremental path vs full recomputation.
 
-    The incremental side times retract + extend + refit of a boundary model;
-    the recompute side times rebuilding the regularized Gram of the slid
+    The incremental side times retract + extend + refit of a boundary model
+    at lambda 1e3, sigma 1 and eta 0.05 on standard normal samples; the
+    recompute side times rebuilding the regularized Gram of the slid
     window and inverting it densely. Both process identical window contents.
     """
     if slides < 1:
         raise InvalidInputError(f"slides must be >= 1, got {slides}")
     if not 0 < chunk < window:
-        raise InvalidInputError(f"need 0 < chunk < window, got {chunk}, {window}")
+        raise InvalidInputError(f"need 0 < chunk < window, got chunk={chunk}, window={window}")
+    if dims < 1:
+        raise InvalidInputError(f"dims must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((window, dims))
     chunks = [rng.standard_normal((chunk, dims)) for _ in range(slides)]
-    kernel = KernelSpec(sigma=sigma)
+    lam, kernel = 1e3, KernelSpec(sigma=1.0)
 
-    model = fit_boundary(RegGramState(base, lam, kernel), eta)
+    model = fit_boundary(RegGramState(base, lam, kernel), 0.05)
     inc_times = []
     for c in chunks:
         t0 = time.perf_counter()

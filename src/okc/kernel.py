@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateDataError, DimensionError, InvalidInputError
 
 RBF = "rbf"
+# entries per row block of _squared_distances (512 KiB): a 1000 x 50 slide call is one block
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,14 @@ def _as_matrix(X, name: str) -> np.ndarray:
 def _squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``d2[i, j] = sum_k (X[i, k] - Y[j, k])^2``, accumulated in feature order."""
     d2 = np.zeros((X.shape[0], Y.shape[0]))
-    diff = np.empty_like(d2)
-    for k in range(X.shape[1]):
-        np.subtract(X[:, k, None], Y[None, :, k], out=diff)
-        np.multiply(diff, diff, out=diff)
-        d2 += diff
+    rows = max(1, _BLOCK_ENTRIES // max(1, Y.shape[0]))  # the scratch is one block, not a matrix
+    for lo in range(0, X.shape[0], rows):
+        block = d2[lo : lo + rows]
+        diff = np.empty_like(block)
+        for k in range(X.shape[1]):
+            np.subtract(X[lo : lo + rows, k, None], Y[None, :, k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            block += diff
     return d2
 
 
@@ -131,7 +136,9 @@ def pairwise_distance_range(X) -> tuple[float, float]:
     if X.shape[0] < 2:
         raise DegenerateDataError("need at least 2 samples to measure pairwise distances")
     d2 = _squared_distances(X, X)
-    d2 = d2[d2 > 0.0]  # drops the diagonal and duplicated rows
-    if d2.size == 0:
+    d2_max = d2.max()
+    if d2_max == 0.0:
         raise DegenerateDataError("all samples are identical; pairwise distances are all zero")
-    return float(np.sqrt(d2.min())), float(np.sqrt(d2.max()))
+    # the positive entries leave out the diagonal and duplicated rows
+    d2_min = np.min(d2, where=d2 > 0.0, initial=np.inf)
+    return float(np.sqrt(d2_min)), float(np.sqrt(d2_max))

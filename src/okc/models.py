@@ -1,15 +1,16 @@
 """One-class classifiers over a sliding kernel window.
 
-Two variants share the same machinery: the boundary model regresses every
-window sample onto a constant target value and flags samples whose prediction
-strays too far from it, while the reconstruction model auto-encodes each
-sample and flags large squared reconstruction error. Both derive their
-rejection threshold from the distribution of training-sample scores, and both
-slide by forgetting the oldest chunk, absorbing the new one, and refitting
-weights and threshold on the updated window.
+Two frameworks, looked up by name in :data:`MODELS`, share the machinery. The
+boundary model regresses every window sample onto the constant 1 and scores a
+sample by ``|prediction - 1|``; the reconstruction model auto-encodes each
+sample and scores it by squared reconstruction error. Both reject a score
+above the floor(eta * N)-th largest training score (:func:`rejection_threshold`,
+also used by :func:`okc.selection.select`), so queries are decided by
+``labels_for(scores(Z))``, and both slide by forgetting the oldest chunk,
+absorbing the new one, and refitting weights and threshold.
 
 The training scores need no kernel matrix. With ``phi = K + I / lambda`` and
-``p = phi^-1``, the boundary weights ``beta = p t`` give ``K beta - t =
+``p = phi^-1``, the boundary weights ``beta = p 1`` give ``K beta - 1 =
 -beta / lambda``, and the reconstruction weights ``B = p X`` give ``X - K B =
 B / lambda``. So a window row scores ``|beta_i| / lambda`` or ``||B_i||^2 /
 lambda^2``, which also keeps the digits that the subtractive forms lose when
@@ -20,7 +21,6 @@ window row takes the score of its first copy (:func:`first_copies`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,29 +32,24 @@ from .kernel import KernelSpec, gram
 SNAPSHOT_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Score (distance) and decision for one sample: +1 target, -1 outlier."""
-
-    score: float
-    label: int
-
-
-def rejection_threshold(distances, eta: float) -> float:
+def rejection_threshold(distances, eta: float) -> float | np.ndarray:
     """Threshold below which a score is accepted as target.
 
-    The training distances are sorted in decreasing order and the threshold is
-    the floor(eta * N)-th largest (1-based). When floor(eta * N) is 0 the
-    maximum distance is used, so no training sample is rejected.
+    The threshold is the floor(eta * N)-th largest (1-based) of the N training
+    distances. When floor(eta * N) is 0 the maximum distance is used, so no
+    training sample is rejected. A vector gives a float; an (N, L) matrix
+    gives the L thresholds of its columns.
     """
     if not 0.0 < eta <= 1.0:
         raise InvalidInputError(f"eta must lie in (0, 1], got {eta!r}")
     d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise InvalidInputError("distances must be a non-empty vector")
-    ordered = _sort_descending(d)
-    k = int(np.floor(eta * d.size))
-    return float(ordered[max(k - 1, 0)])
+    if d.ndim not in (1, 2) or d.size == 0:
+        raise InvalidInputError("distances must be a non-empty vector or matrix")
+    n = d.shape[0]
+    k = max(int(np.floor(eta * n)), 1)
+    # the k-th largest is the (n - k)-th smallest, 0-based
+    theta = np.partition(d, n - k, axis=0)[n - k]
+    return float(theta) if d.ndim == 1 else theta
 
 
 def first_copies(rows: np.ndarray) -> np.ndarray:
@@ -67,14 +62,10 @@ def first_copies(rows: np.ndarray) -> np.ndarray:
     return first[row_id]
 
 
-def _sort_descending(d: np.ndarray) -> np.ndarray:
-    # stable on the arrival index, so equal distances keep a fixed order and
-    # the threshold is deterministic
-    return d[np.argsort(-d, kind="stable")]
-
-
 class _WindowedModel:
     """Behavior common to both classifiers: threshold, decision, sliding."""
+
+    framework: str  # the key of the class in MODELS
 
     def __init__(self, state: RegGramState, eta: float):
         self.state = state
@@ -96,16 +87,12 @@ class _WindowedModel:
     def _refit(self) -> None:
         self._recompute_weights()
         d = self._training_scores()[first_copies(self.state.window)]
-        self.train_distances = _sort_descending(d)
-        self.theta = rejection_threshold(d, self.eta)
+        self.train_distances = np.sort(d)[::-1]
+        self.theta = rejection_threshold(self.train_distances, self.eta)
 
     def labels_for(self, scores: np.ndarray) -> np.ndarray:
         """+1 where theta - score >= 0, else -1 (ties accept)."""
         return np.where(np.asarray(scores) <= self.theta, 1, -1)
-
-    def decide(self, Z) -> list[Prediction]:
-        s = self.scores(Z)
-        return [Prediction(float(si), int(li)) for si, li in zip(s, self.labels_for(s))]
 
     def forget(self, f: int) -> None:
         """Drop the oldest f samples without refitting (half of a slide)."""
@@ -132,27 +119,29 @@ class _WindowedModel:
 
 
 class BoundaryModel(_WindowedModel):
-    """Single-output model: predict a constant, score by |prediction - constant|."""
+    """Single-output model: predict the constant 1, score by |prediction - 1|."""
 
-    def __init__(self, state: RegGramState, eta: float, target_value: float = 1.0):
-        self.target_value = float(target_value)
+    framework = "boundary"
+
+    def __init__(self, state: RegGramState, eta: float):
         self.beta: np.ndarray = np.empty(0)
         super().__init__(state, eta)
 
     def _recompute_weights(self) -> None:
-        targets = np.full(self.state.size, self.target_value)
-        self.beta = self.state.p @ targets
+        self.beta = self.state.p @ np.ones(self.state.size)
 
     def _training_scores(self) -> np.ndarray:
         return np.abs(self.beta) / self.state.lam
 
     def scores(self, Z) -> np.ndarray:
         predicted = self._kernel_rows(Z) @ self.beta
-        return np.abs(predicted - self.target_value)
+        return np.abs(predicted - 1.0)
 
 
 class ReconstructionModel(_WindowedModel):
     """Auto-encoding model: score by squared reconstruction error."""
+
+    framework = "reconstruction"
 
     def __init__(self, state: RegGramState, eta: float):
         self.b_matrix: np.ndarray = np.empty((0, 0))
@@ -171,9 +160,13 @@ class ReconstructionModel(_WindowedModel):
         return np.einsum("ij,ij->i", err, err)
 
 
-def fit_boundary(state: RegGramState, eta: float, target_value: float = 1.0) -> BoundaryModel:
+MODELS: dict[str, type[_WindowedModel]] = {m.framework: m for m in (BoundaryModel, ReconstructionModel)}
+FRAMEWORKS = tuple(MODELS)
+
+
+def fit_boundary(state: RegGramState, eta: float) -> BoundaryModel:
     """Fit the boundary classifier on the window currently held by ``state``."""
-    return BoundaryModel(state, eta, target_value)
+    return BoundaryModel(state, eta)
 
 
 def fit_reconstruction(state: RegGramState, eta: float) -> ReconstructionModel:
@@ -187,18 +180,15 @@ def to_snapshot(model: _WindowedModel) -> dict:
     Holds kernel spec, lambda, eta, the window samples and theta; the inverse
     of the regularized Gram matrix is recomputed from the window on load.
     """
-    doc = {
+    return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
-        "framework": "boundary" if isinstance(model, BoundaryModel) else "reconstruction",
+        "framework": model.framework,
         "kernel": {"kind": model.state.kernel.kind, "sigma": model.state.kernel.sigma},
         "lambda": model.state.lam,
         "eta": model.eta,
         "theta": model.theta,
         "window": model.state.window.tolist(),
     }
-    if isinstance(model, BoundaryModel):
-        doc["target_value"] = model.target_value
-    return doc
 
 
 _SNAPSHOT_KEYS = ("framework", "kernel", "lambda", "eta", "theta", "window")
@@ -233,8 +223,9 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     ------
     InvalidInputError
         If the document is not a version-1 snapshot: a key is missing, the
-        kernel is not an object, the window is ragged, empty or non-finite, or
-        a scalar is not a finite number.
+        kernel is not an object, the window is ragged, empty or non-finite, a
+        scalar is not a finite number, the framework is unknown, or an older
+        document's ``target_value`` is not 1 (its theta has another scale).
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"snapshot must be a JSON object, got {type(doc).__name__}")
@@ -244,6 +235,10 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     missing = [k for k in _SNAPSHOT_KEYS if k not in doc]
     if missing:
         raise InvalidInputError(f"snapshot lacks {', '.join(missing)}")
+    if doc["framework"] not in FRAMEWORKS:
+        raise InvalidInputError(f"unknown framework: {doc['framework']!r}")
+    if doc.get("target_value", 1.0) != 1.0:
+        raise InvalidInputError(f"snapshot target_value must be 1, got {doc['target_value']!r}")
     spec = doc["kernel"]
     if not isinstance(spec, dict) or not {"kind", "sigma"} <= spec.keys():
         raise InvalidInputError(f"snapshot kernel must be an object with kind and sigma, got {spec!r}")
@@ -254,13 +249,7 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     eta = _finite(doc["eta"], "eta")
     theta = _finite(doc["theta"], "theta")
     state = RegGramState(_snapshot_window(doc["window"]), lam, kernel)
-    if doc["framework"] == "boundary":
-        target = _finite(doc.get("target_value", 1.0), "target_value")
-        model: _WindowedModel = BoundaryModel(state, eta, target)
-    elif doc["framework"] == "reconstruction":
-        model = ReconstructionModel(state, eta)
-    else:
-        raise InvalidInputError(f"unknown framework: {doc['framework']!r}")
+    model = MODELS[doc["framework"]](state, eta)
     # the stored threshold is authoritative for the snapshot
     model.theta = theta
     return model
@@ -271,4 +260,9 @@ def save_model(model: _WindowedModel, path) -> None:
 
 
 def load_model(path) -> _WindowedModel:
-    return from_snapshot(json.loads(Path(path).read_text()))
+    """Read a :func:`save_model` file; InvalidInputError names a file that is not JSON."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path} is not a JSON snapshot: {exc}") from None
+    return from_snapshot(doc)

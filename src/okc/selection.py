@@ -23,9 +23,11 @@ Cawley & Talbot 2004, and GCV, Golub, Heath & Wahba 1979):
   ``||X_t - K_t B||^2`` row by row equal ``||B_i||^2 / lambda^2``; the held-out
   errors are ``||z - k(z) B||^2``.
 
-The threshold and the decision are the models' own:
-:func:`~okc.models.rejection_threshold` over the training scores, and a
-held-out sample is rejected when its score exceeds it. Equal rows have
+The threshold and the decision are the models' own, and the target is their
+constant 1: :func:`~okc.models.rejection_threshold` over the training scores,
+one threshold per lambda from one call on the (n, L) score matrix, and a
+held-out sample is rejected when its score exceeds its lambda's threshold.
+Equal rows have
 exactly equal scores, so every copy of a row takes the score of its first
 copy in the training fold (:func:`~okc.models.first_copies`, the models' own
 rule); a held-out copy of the training row that sets the threshold then ties
@@ -67,13 +69,11 @@ import numpy as np
 from .errors import IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError
 from .gram_window import CONDITION_LIMIT, condition_1
 from .kernel import KernelSpec, gram, pairwise_distance_range
-from .models import first_copies, rejection_threshold
+from .models import FRAMEWORKS, first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
 # (okcbench/tracing.py) wraps the fit_boundary binding of this module by name.
 from .models import fit_boundary  # noqa: F401
-
-FRAMEWORKS = ("boundary", "reconstruction")
 
 
 def lambda_grid() -> list[float]:
@@ -126,10 +126,11 @@ class SelectionConfig:
             raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
         if self.sigma_thr < 0:
             raise InvalidInputError(f"sigma_thr must be >= 0, got {self.sigma_thr!r}")
-        if not self.lambdas or any(l <= 0 for l in self.lambdas):
-            raise InvalidInputError("lambdas must be a non-empty list of positive reals")
-        if self.sigmas is not None and (not self.sigmas or any(s <= 0 for s in self.sigmas)):
-            raise InvalidInputError("sigmas must be a non-empty list of positive reals")
+        # the range tests are written so that NaN fails them too
+        if not self.lambdas or any(not 0 < l < math.inf for l in self.lambdas):
+            raise InvalidInputError("lambdas must be a non-empty list of positive finite reals")
+        if self.sigmas is not None and (not self.sigmas or any(not 0 < s < math.inf for s in self.sigmas)):
+            raise InvalidInputError("sigmas must be a non-empty list of positive finite reals")
 
 
 @dataclass
@@ -206,10 +207,7 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
     train_scores = train_scores[copy_t]
     copies = copy_c < n
     held_scores[copies] = train_scores[copy_c[copies]]
-    errors[usable] = [
-        np.mean(held_scores[:, j] > rejection_threshold(train_scores[:, j], eta))
-        for j in range(lams.size)
-    ]
+    errors[usable] = np.mean(held_scores > rejection_threshold(train_scores, eta), axis=0)
     return errors
 
 

@@ -91,6 +91,11 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     ([], {"window": 0}, "window must be >= 1"),
     (["--chunk", "200", "--window", "150"], None, "chunk=200, window=150"),
     (["--eta", "1.5"], None, "eta must lie in (0, 1]"),
+    (["--sigma", "nan"], None, "sigma must be a positive finite number"),
+    (["--sigma", "inf"], None, "sigma must be a positive finite number"),
+    (["--lambda", "nan"], None, "lambda must be a positive finite number"),
+    (["--lambda", "inf"], None, "lambda must be a positive finite number"),
+    ([], {"lambda": 1e400}, "lambda must be a positive finite number"),
 ])
 def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))
@@ -116,3 +121,14 @@ def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, n
     assert "Traceback" not in err
     # the settings are checked before the data is read
     assert named in usage_error(["select", str(tmp_path / "missing.csv"), *flags], capsys)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--dims", "0"], "dims must be >= 1, got 0"),
+    (["--dims", "-1"], "dims must be >= 1, got -1"),
+    (["--chunk", "200", "--window", "150"], "chunk=200, window=150"),
+])
+def test_bench_setting_out_of_range_is_a_usage_error(capsys, flags, named):
+    err = usage_error(["bench", "--slides", "1", *flags], capsys)
+    assert named in err
+    assert "Traceback" not in err

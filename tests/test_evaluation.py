@@ -11,6 +11,7 @@ from okc import (
     KernelSpec,
     RegGramState,
     RunConfig,
+    SelectionConfig,
     UndefinedMetricError,
     auc,
     fit_boundary,
@@ -115,6 +116,20 @@ def test_runconfig_validation():
     with pytest.raises(InvalidInputError):
         RunConfig(sigma=-1.0).validate()
     RunConfig(mode="static", window=50, chunk=50).validate()  # chunk unused in static
+
+
+@pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": "wide"},
+                                 {"lam": float("nan")}, {"lam": float("inf")}])
+def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
+    with pytest.raises(InvalidInputError):
+        RunConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("bad", [{"lambdas": [1.0, float("nan")]}, {"lambdas": [float("inf")]},
+                                 {"sigmas": [float("nan")]}, {"sigmas": [0.5, float("inf")]}])
+def test_selectionconfig_rejects_non_finite_grids(bad):
+    with pytest.raises(InvalidInputError):
+        SelectionConfig(**bad).validate()
 
 
 # ---- stationary protocol ----------------------------------------------------

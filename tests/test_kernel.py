@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_pairwise_distance_range_brute_force_oracle():
     ]
     assert dmin == np.sqrt(min(sq))
     assert dmax == np.sqrt(max(sq))
+
+
+def test_squared_distances_scratch_is_small_next_to_the_result():
+    # a full-size scratch array beside the result doubled the peak
+    X = np.random.default_rng(12).normal(size=(2000, 3))
+    one_matrix = 2000 * 2000 * 8
+    for call in (lambda: gram(KernelSpec(sigma=1.0), X), lambda: pairwise_distance_range(X)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * one_matrix
 
 
 def test_pairwise_distance_range_degenerate():

@@ -90,6 +90,17 @@ def test_threshold_tie_breaking_deterministic():
     assert rejection_threshold(d, 0.5) == 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 101])
+def test_threshold_of_a_matrix_is_the_threshold_of_each_column(n):
+    rng = np.random.default_rng(n)
+    d = rng.integers(0, 4, size=(n, 6)) / 4.0  # few values, so many ties
+    d[:, 5] = rng.random(n)
+    for eta in [1e-3, 0.05, 0.2, 1 / 3, 0.5, 0.9, 1.0]:
+        theta = rejection_threshold(d, eta)
+        assert theta.shape == (6,)
+        assert theta.tolist() == [rejection_threshold(d[:, j], eta) for j in range(6)]
+
+
 # ---- boundary model -------------------------------------------------------
 
 
@@ -106,8 +117,6 @@ def test_boundary_beta_is_p_times_targets():
     st = make_state(rng, 40)
     m = fit_boundary(st, 0.1)
     np.testing.assert_allclose(m.beta, st.p @ np.ones(40), atol=1e-10)
-    m2 = fit_boundary(make_state(np.random.default_rng(2), 40), 0.1, target_value=3.0)
-    np.testing.assert_allclose(m2.beta, 3.0 * m.beta, atol=1e-10)
 
 
 def test_boundary_scoring_training_sample_matches_train_distance():
@@ -235,18 +244,6 @@ def test_decide_labels():
     np.testing.assert_array_equal(m.labels_for(fake_scores), [1, 1, -1])
 
 
-def test_decide_returns_predictions():
-    rng = np.random.default_rng(11)
-    st = make_state(rng, 30)
-    m = fit_boundary(st, 0.1)
-    preds = m.decide(rng.normal(size=(5, 2)))
-    assert len(preds) == 5
-    for p in preds:
-        assert p.label in (1, -1)
-        assert p.score >= 0
-        assert (p.label == 1) == (p.score <= m.theta)
-
-
 def test_decision_monotone_in_score():
     rng = np.random.default_rng(12)
     st = make_state(rng, 50)
@@ -266,7 +263,7 @@ def test_decision_monotone_in_score():
 def batch_refit(model, framework):
     state = RegGramState(model.state.window, model.state.lam, model.state.kernel)
     if framework == "boundary":
-        return fit_boundary(state, model.eta, model.target_value)
+        return fit_boundary(state, model.eta)
     return fit_reconstruction(state, model.eta)
 
 
@@ -342,6 +339,32 @@ def test_snapshot_rejects_unknown_version():
     doc["format_version"] = 99
     with pytest.raises(InvalidInputError):
         from_snapshot(doc)
+
+
+def test_boundary_snapshot_has_no_target_value():
+    doc = snapshot_doc()
+    assert doc["framework"] == "boundary"
+    assert "target_value" not in doc
+
+
+def test_snapshot_with_unit_target_value_loads():
+    # older version-1 documents record the boundary target, which was 1 by default
+    doc = snapshot_doc()
+    model = from_snapshot(doc | {"target_value": 1.0})
+    probes = np.random.default_rng(21).normal(size=(20, 2))
+    np.testing.assert_array_equal(model.scores(probes), from_snapshot(doc).scores(probes))
+
+
+def test_snapshot_with_other_target_value_is_refused():
+    with pytest.raises(InvalidInputError, match="target_value"):
+        from_snapshot(snapshot_doc() | {"target_value": 3.0})
+
+
+def test_load_model_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"format_version": 1, "framework": ')
+    with pytest.raises(InvalidInputError, match="model.json"):
+        load_model(path)
 
 
 def test_snapshot_theta_is_authoritative():
