@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import InvalidInputError, OkcError, SpecError
 from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
 from .models import FRAMEWORKS
-from .selection import SelectionConfig, select
+from .selection import SelectionConfig, check_seed, select
 from .streams import DatasetSchema, DriftStreamSpec, gen_stream, load_csv, save_csv
 
 
@@ -201,6 +201,7 @@ def _cmd_select(args, parser) -> int:
     cfg = SelectionConfig(folds=args.folds, sigma_thr=args.sigma_thr, eta=args.eta)
     try:
         cfg.validate()
+        check_seed(args.seed)
     except InvalidInputError as exc:
         parser.error(str(exc))
     ds = load_csv(_schema_from_args(args, args.data))

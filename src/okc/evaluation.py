@@ -25,7 +25,7 @@ from .errors import InsufficientDataError, InvalidInputError, UndefinedMetricErr
 from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
 from .models import FRAMEWORKS, MODELS, fit_boundary
-from .selection import SelectionConfig, select
+from .selection import SelectionConfig, check_seed, select
 from .streams import Dataset
 
 
@@ -56,6 +56,7 @@ class RunConfig:
             raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
+        check_seed(self.seed)
         # the range tests are written so that NaN fails them too
         if self.sigma != "auto" and not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < math.inf):
             raise InvalidInputError(f"sigma must be a positive finite number or 'auto', got {self.sigma!r}")
@@ -148,7 +149,7 @@ def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, fl
     return cfg.lam, float(cfg.sigma)
 
 
-def _maybe_steps(correct: list[bool], steps: int = 100) -> list[float] | None:
+def _maybe_steps(correct: np.ndarray, steps: int = 100) -> list[float] | None:
     if len(correct) < steps:
         return None
     return stepwise_accuracy(correct, steps).tolist()
@@ -173,7 +174,7 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
     timing = {"train_s": 0.0, "forget_s": 0.0, "test_s": 0.0}
     total = {"tp": 0, "fn": 0, "tn": 0, "fp": 0}
     run_aucs: list[float] = []
-    correct: list[bool] = []
+    correct: list[np.ndarray] = []
     for r in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + r)
         perm = rng.permutation(target_idx.size)
@@ -194,13 +195,13 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
         for k in total:
             total[k] += conf[k]
         run_aucs.append(auc(conf))
-        correct.extend((predicted == actual).tolist())
+        correct.append(predicted == actual)
 
     n_scored = sum(total.values())
     return EvalReport(
         overall_accuracy=(total["tp"] + total["tn"]) / n_scored,
         auc=float(np.mean(run_aucs)),
-        step_accuracy=_maybe_steps(correct),
+        step_accuracy=_maybe_steps(np.concatenate(correct)),
         confusion=total,
         timing=timing,
         config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
@@ -264,12 +265,11 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     if actual.size == 0:
         raise InsufficientDataError("no samples left to score after window initialization")
     conf = _confusion(actual, predicted)
-    correct = (predicted == actual).tolist()
     has_both = (conf["tp"] + conf["fn"] > 0) and (conf["tn"] + conf["fp"] > 0)
     return EvalReport(
         overall_accuracy=(conf["tp"] + conf["tn"]) / actual.size,
         auc=auc(conf) if has_both else None,
-        step_accuracy=_maybe_steps(correct),
+        step_accuracy=_maybe_steps(predicted == actual),
         confusion=conf,
         timing=timing,
         config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
@@ -291,6 +291,7 @@ def slide_benchmark(window: int = 1000, chunk: int = 50, dims: int = 2,
         raise InvalidInputError(f"need 0 < chunk < window, got chunk={chunk}, window={window}")
     if dims < 1:
         raise InvalidInputError(f"dims must be >= 1, got {dims}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((window, dims))
     chunks = [rng.standard_normal((chunk, dims)) for _ in range(slides)]

@@ -258,6 +258,12 @@ def _scan(X: np.ndarray, folds: list[np.ndarray], framework: str, lambdas: list[
     return best
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that ``np.random.default_rng`` cannot take."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
            seed: int = 0) -> SelectionResult:
     """Pick (lambda, sigma) for target-only data ``X`` by consistency.
@@ -274,6 +280,7 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
         raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
     cfg = cfg or SelectionConfig()
     cfg.validate()
+    check_seed(seed)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)

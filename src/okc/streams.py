@@ -14,6 +14,7 @@ spec's seed, so equal specs produce bitwise-identical streams.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import EmptyTargetError, FormatError, SchemaError, SpecError
 
 FAMILIES = ("ring", "unimodal_drift", "multimodal_drift", "rotating")
+
+# CSV rows parsed or written at a time; bounds the cells held besides the arrays
+_CHUNK_ROWS = 4096
 
 
 class LabeledSample(NamedTuple):
@@ -227,44 +231,64 @@ def _parse_raw_label(cell: str):
 def load_csv(schema: DatasetSchema) -> Dataset:
     """Read ``schema.path`` into a dataset, preserving row order; blank lines are skipped.
 
-    Raises FormatError (with the offending line number) on non-numeric
-    features and SchemaError when the label column cannot be resolved.
+    Rows are parsed ``_CHUNK_ROWS`` at a time, so ingest holds one chunk of
+    cells besides the arrays. Raises FormatError (with the offending line
+    number) on non-numeric features, ragged rows, bytes that are not text
+    and CSV syntax errors, and SchemaError when the label column cannot be
+    resolved.
     """
     path = Path(schema.path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=schema.delimiter))
-    start = 0
     label_idx = schema.label_column
-    if schema.header:
-        if not rows:
-            raise FormatError(f"{path}: empty file, expected a header row")
-        header = rows[0]
-        start = 1
-        if isinstance(label_idx, str):
-            if label_idx not in header:
-                raise SchemaError(f"label column {label_idx!r} not in header {header}")
-            label_idx = header.index(label_idx)
-    elif isinstance(label_idx, str):
-        raise SchemaError("label column given by name but the file has no header")
+    X_parts: list[np.ndarray] = []
+    label_parts: list[np.ndarray] = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        try:
+            offset = 0  # rows read before the current chunk
+            if schema.header:
+                header = next(reader, None)
+                if header is None:
+                    raise FormatError(f"{path}: empty file, expected a header row")
+                offset = 1
+                if isinstance(label_idx, str):
+                    if label_idx not in header:
+                        raise SchemaError(f"label column {label_idx!r} not in header {header}")
+                    label_idx = header.index(label_idx)
+            elif isinstance(label_idx, str):
+                raise SchemaError("label column given by name but the file has no header")
 
-    try:
-        X, labels = _columns([row for row in rows[start:] if row], label_idx)
-    except ValueError:
-        _raise_first_bad_row(rows, start, label_idx, schema.label_column)
-        raise
-    if schema.target_label is None:
-        y = np.fromiter(map(_parse_raw_label, labels), object, len(labels))
-    else:
-        y = np.where(np.fromiter(map(str(schema.target_label).__eq__, labels), bool, len(labels)), 1, -1)
+            width = None  # cells in the first data row
+            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+                data = [row for row in chunk if row]
+                if data:
+                    width = width or len(data[0])
+                    try:
+                        X, labels = _columns(data, label_idx, width)
+                    except ValueError:
+                        _raise_first_bad_row(chunk, offset, label_idx, schema.label_column, width)
+                        raise
+                    X_parts.append(X)
+                    label_parts.append(_label_column(labels, schema.target_label))
+                offset += len(chunk)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path, fh.encoding)
+            raise FormatError(f"{path}: line {line}: not {fh.encoding} text ({exc.reason})") from None
+
+    X = np.concatenate(X_parts) if X_parts else np.empty((0, 0))
+    y = np.concatenate(label_parts) if label_parts else _label_column([], schema.target_label)
+    if schema.target_label is not None:
+        y = np.where(y, 1, -1)
     ds = Dataset(X, y)
     return minmax_normalize(ds) if schema.normalize else ds
 
 
-def _columns(rows: list[list[str]], label_idx: int) -> tuple[np.ndarray, list[str]]:
-    """All rows' features and stripped label cells at once; a malformed row raises ValueError."""
-    if not rows:
-        return np.empty((0, 0)), []
-    width = len(rows[0])
+def _columns(rows: list[list[str]], label_idx: int, width: int) -> tuple[np.ndarray, list[str]]:
+    """The rows' features and stripped label cells; a malformed row raises ValueError.
+
+    Every row must have ``width`` cells, the width of the file's first data row.
+    """
     if any(len(row) != width for row in rows) or not -width <= label_idx < width:
         raise ValueError("rows differ in width or lack the label column")
     columns = list(zip(*rows))
@@ -275,25 +299,43 @@ def _columns(rows: list[list[str]], label_idx: int) -> tuple[np.ndarray, list[st
     return X, labels
 
 
-def _raise_first_bad_row(rows, start: int, label_idx: int, label_column) -> None:
-    """Raise the error of the first malformed data row, naming its line."""
-    width: int | None = None
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+def _label_column(labels: list[str], target_label) -> np.ndarray:
+    """Raw labels parsed as int/float/str, or whether each equals ``target_label``."""
+    if target_label is None:
+        return np.fromiter(map(_parse_raw_label, labels), object, len(labels))
+    return np.fromiter(map(str(target_label).__eq__, labels), bool, len(labels))
+
+
+def _raise_first_bad_row(rows, offset: int, label_idx: int, label_column, width: int) -> None:
+    """Raise the error of the first malformed row of a chunk, naming its line.
+
+    ``offset`` rows of the file precede the chunk, and ``width`` is the cell
+    count of the file's first data row.
+    """
+    for lineno, row in enumerate(rows, start=offset + 1):
         if not row:
             continue
         if not -len(row) <= label_idx < len(row):
             raise SchemaError(f"line {lineno}: no column {label_column!r} in {len(row)}-cell row")
+        if len(row) != width:
+            raise FormatError(f"line {lineno}: expected {width - 1} features, got {len(row) - 1}")
         resolved = label_idx % len(row)
-        cells = [c for i, c in enumerate(row) if i != resolved]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise FormatError(f"line {lineno}: expected {width} features, got {len(cells)}")
-        for cell in cells:
+        for cell in row[:resolved] + row[resolved + 1 :]:
             try:
                 float(cell)
             except ValueError:
                 raise FormatError(f"line {lineno}: non-numeric feature {cell!r}") from None
+
+
+def _undecodable_line(path: Path, encoding: str) -> int:
+    """The first line of ``path`` that does not decode; lines split at newline bytes."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError:
+                return lineno
+    return lineno
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -301,7 +343,10 @@ def save_csv(ds: Dataset, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i + 1}" for i in range(ds.X.shape[1])] + ["label"])
-        writer.writerows([*map(repr, row), label] for row, label in zip(ds.X.tolist(), ds.y.tolist()))
+        for lo in range(0, len(ds), _CHUNK_ROWS):
+            block = slice(lo, lo + _CHUNK_ROWS)
+            writer.writerows([*map(repr, row), label]
+                             for row, label in zip(ds.X[block].tolist(), ds.y[block].tolist()))
 
 
 def minmax_normalize(ds: Dataset) -> Dataset:

@@ -96,6 +96,9 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     (["--lambda", "nan"], None, "lambda must be a positive finite number"),
     (["--lambda", "inf"], None, "lambda must be a positive finite number"),
     ([], {"lambda": 1e400}, "lambda must be a positive finite number"),
+    (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["--sigma", "auto", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["--protocol", "stationary", "--seed", "-1"], None, "seed must be >= 0, got -1"),
 ])
 def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))
@@ -113,6 +116,7 @@ def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc,
     (["--eta", "0"], "eta must lie in (0, 1], got 0.0"),
     (["--sigma-thr", "-1"], "sigma_thr must be >= 0, got -1.0"),
     (["--folds", "1"], "folds must be >= 2, got 1"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, named):
     data = write(tmp_path, "d.csv", "".join(f"{i}.0,{i % 3}.5,1\n" for i in range(20)))
@@ -127,8 +131,23 @@ def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, n
     (["--dims", "0"], "dims must be >= 1, got 0"),
     (["--dims", "-1"], "dims must be >= 1, got -1"),
     (["--chunk", "200", "--window", "150"], "chunk=200, window=150"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_bench_setting_out_of_range_is_a_usage_error(capsys, flags, named):
     err = usage_error(["bench", "--slides", "1", *flags], capsys)
     assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["run", "--sigma", "1"], ["select"]])
+@pytest.mark.parametrize("content, named", [
+    (b"0.0,1.0,1\n1.0,\xff\xfe,1\n", "line 2: not utf-8 text"),
+    (b'0.0,1.0,1\n0.5,0.5,1\n1.0,"' + b"9" * 200_000 + b'",1\n', "line 3: field larger than field limit"),
+])
+def test_malformed_csv_bytes_are_a_data_error(tmp_path, capsys, command, content, named):
+    data = tmp_path / "d.csv"
+    data.write_bytes(content)
+    assert main([command[0], str(data), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: {named}")
     assert "Traceback" not in err

@@ -18,6 +18,8 @@ from okc import (
     gen_stream,
     run_stationary,
     run_stream,
+    select,
+    slide_benchmark,
     stepwise_accuracy,
 )
 import okc.models
@@ -123,6 +125,15 @@ def test_runconfig_validation():
 def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
     with pytest.raises(InvalidInputError):
         RunConfig(**bad).validate()
+
+
+def test_negative_seed_is_refused_before_any_random_draw():
+    with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+        RunConfig(seed=-1).validate()
+    with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+        select(np.random.default_rng(0).normal(size=(20, 2)), seed=-1)
+    with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+        slide_benchmark(window=20, chunk=5, slides=1, seed=-1)
 
 
 @pytest.mark.parametrize("bad", [{"lambdas": [1.0, float("nan")]}, {"lambdas": [float("inf")]},

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import okc.streams as streams
 from okc import (
     Dataset,
     DatasetSchema,
@@ -370,3 +373,117 @@ def test_load_csv_first_bad_line_wins_across_error_kinds(tmp_path):
     path = write_rows(tmp_path / "mixed.csv", ["1.0,2.0,a", "", "3.0,bad,b", "5.0,a"])
     with pytest.raises(FormatError, match=r"^line 3: non-numeric feature 'bad'$"):
         load_csv(DatasetSchema(path=path, target_label="a"))
+
+
+# ---- chunked ingest ---------------------------------------------------------
+
+CHUNK = streams._CHUNK_ROWS
+LONG = 3 * CHUNK + 500  # data rows of a file longer than three chunks
+
+
+def long_rows():
+    return [f"{i}.5,{-i}.25,{'a' if i % 3 else 'b'}" for i in range(LONG)]
+
+
+def test_load_csv_non_numeric_cell_in_a_later_chunk_names_its_line(tmp_path):
+    rows = long_rows()
+    rows[3 * CHUNK + 7] = "7.0,oops,a"
+    rows[3 * CHUNK + 90] = "nope,1.0,b"
+    path = write_rows(tmp_path / "late.csv", rows)
+    with pytest.raises(FormatError, match=rf"^line {3 * CHUNK + 8}: non-numeric feature 'oops'$"):
+        load_csv(DatasetSchema(path=path, target_label="a"))
+
+
+@pytest.mark.parametrize("row, got", [("7.0,a", 1), ("7.0,1.0,2.0,a", 3)])
+def test_load_csv_ragged_row_in_a_later_chunk_is_checked_against_the_first_row(tmp_path, row, got):
+    rows = long_rows()
+    rows[2 * CHUNK + 5] = row
+    path = write_rows(tmp_path / "ragged.csv", rows)
+    with pytest.raises(FormatError, match=rf"^line {2 * CHUNK + 6}: expected 2 features, got {got}$"):
+        load_csv(DatasetSchema(path=path))
+
+
+def test_load_csv_short_row_in_a_later_chunk_lacks_the_label_column(tmp_path):
+    rows = long_rows()
+    rows[3 * CHUNK + 1] = "5.0"
+    path = write_rows(tmp_path / "short.csv", ["x,y,cls"] + rows)
+    with pytest.raises(SchemaError, match=rf"^line {3 * CHUNK + 3}: no column 'cls' in 1-cell row$"):
+        load_csv(DatasetSchema(path=path, label_column="cls", header=True))
+
+
+def test_load_csv_first_data_row_in_a_later_chunk_sets_the_width(tmp_path):
+    path = write_rows(tmp_path / "late.csv", [""] * (CHUNK + 5) + long_rows()[:10] + ["1,2,3,a"])
+    with pytest.raises(FormatError, match=rf"^line {CHUNK + 16}: expected 2 features, got 3$"):
+        load_csv(DatasetSchema(path=path))
+
+
+def test_load_csv_skips_blank_rows_across_a_chunk_boundary(tmp_path):
+    rows = long_rows()
+    rows[CHUNK - 3 : CHUNK + 3] = [""] * 6
+    rows[2 * CHUNK - 1] = ""  # the last row of the second chunk
+    path = write_rows(tmp_path / "blanks.csv", rows)
+    ds = load_csv(DatasetSchema(path=path, target_label="a"))
+    kept = [i for i, row in enumerate(rows) if row]
+    assert ds.X.tolist() == [[float(cell) for cell in rows[i].split(",")[:2]] for i in kept]
+    assert ds.y.tolist() == [1 if i % 3 else -1 for i in kept]
+
+
+def test_load_csv_mixed_raw_labels_across_chunks_equal_a_single_chunk_load(tmp_path, monkeypatch):
+    kinds = [lambda i: str(i), lambda i: f"{i}.5", lambda i: f"lab{i % 5}", lambda i: " 3 "]
+    path = write_rows(tmp_path / "mixed.csv",
+                      [f"{i}.0,{i % 7}.5,{kinds[i % 4](i)}" for i in range(LONG)])
+    chunked = load_csv(DatasetSchema(path=path))
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 10 * LONG)
+    whole = load_csv(DatasetSchema(path=path))
+    assert chunked.X.tobytes() == whole.X.tobytes() and chunked.X.shape == whole.X.shape
+    assert chunked.y.dtype == whole.y.dtype == object
+    assert [(type(v), v) for v in chunked.y.tolist()] == [(type(v), v) for v in whole.y.tolist()]
+    assert {type(v) for v in chunked.y.tolist()} == {int, float, str}
+
+
+def test_load_csv_header_only_and_empty_files(tmp_path):
+    header_only = write_rows(tmp_path / "header.csv", ["x,y,cls"])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for target_label, dtype in (("1", int), (None, object)):
+        for path, header in ((header_only, True), (empty, False)):
+            ds = load_csv(DatasetSchema(path=path, target_label=target_label, header=header))
+            assert ds.X.shape == (0, 0) and ds.y.shape == (0,) and ds.y.dtype == dtype
+    with pytest.raises(FormatError, match="empty file, expected a header row"):
+        load_csv(DatasetSchema(path=empty, header=True))
+
+
+def test_load_csv_bytes_that_are_not_text_name_path_and_line(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(("\n".join(long_rows()[:5000]) + "\n").encode() + b"1.0,\xff\xfe,a\n2.0,3.0,a\n")
+    with pytest.raises(FormatError, match=rf"^{path}: line 5001: not utf-8 text"):
+        load_csv(DatasetSchema(path=path))
+
+
+def test_load_csv_oversized_field_names_path_and_line(tmp_path):
+    path = write_rows(tmp_path / "big.csv", long_rows()[:20] + ['1.0,"' + "9" * 200_000 + '",a'])
+    with pytest.raises(FormatError, match=rf"^{path}: line 21: field larger than field limit"):
+        load_csv(DatasetSchema(path=path))
+
+
+def test_load_csv_peak_memory_is_bounded_by_a_few_times_the_arrays(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [f"{a!r},{b!r},{i % 2}" for i, (a, b) in enumerate(rng.normal(size=(50_000, 2)).tolist())]
+    path = write_rows(tmp_path / "big.csv", rows)
+    tracemalloc.start()
+    try:
+        ds = load_csv(DatasetSchema(path=path, target_label="1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 50_000
+    assert peak <= 5 * (ds.X.nbytes + ds.y.nbytes)
+
+
+def test_save_csv_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    ds = Dataset(rng.normal(size=(2 * CHUNK + 3, 2)), np.where(rng.random(2 * CHUNK + 3) < 0.5, 1, -1))
+    save_csv(ds, tmp_path / "blocks.csv")
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 10 * len(ds))
+    save_csv(ds, tmp_path / "whole.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
