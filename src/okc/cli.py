@@ -169,6 +169,8 @@ def _load_fields(path: str, defaults: dict, what: str) -> dict:
     typed like its default. Raises SpecError naming the offending field."""
     try:
         doc = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{what} {path} is not utf-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed {what} JSON: {exc}") from None
     if not isinstance(doc, dict):

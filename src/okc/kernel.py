@@ -22,29 +22,24 @@ import numpy as np
 
 from .errors import DegenerateDataError, DimensionError, InvalidInputError
 
-RBF = "rbf"
+RBF = "rbf"  # the kernel's name in model snapshots
 # entries per row block of _squared_distances (512 KiB): a 1000 x 50 slide call is one block
 _BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A Mercer kernel. Currently only the Gaussian (RBF) kernel is supported.
+    """The Gaussian (RBF) kernel.
 
     Parameters
     ----------
-    kind : str
-        Kernel family name. Only ``"rbf"``.
     sigma : float
         Kernel width, in the same units as feature-space distance. Must be > 0.
     """
 
-    kind: str = RBF
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind != RBF:
-            raise InvalidInputError(f"unsupported kernel kind: {self.kind!r}")
         if not np.isfinite(self.sigma) or self.sigma <= 0:
             raise InvalidInputError(f"sigma must be a positive finite real, got {self.sigma!r}")
 
@@ -55,6 +50,8 @@ def _as_matrix(X, name: str) -> np.ndarray:
         X = X.reshape(1, -1)
     if X.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D sample matrix, got ndim={X.ndim}")
+    if X.shape[1] == 0:
+        raise DimensionError(f"{name} has no feature column")
     if not np.isfinite(X).all():
         raise InvalidInputError(f"{name} contains NaN or Inf")
     return X

@@ -1,21 +1,30 @@
 """One-class classifiers over a sliding kernel window.
 
-Two frameworks, looked up by name in :data:`MODELS`, share the machinery. The
-boundary model regresses every window sample onto the constant 1 and scores a
-sample by ``|prediction - 1|``; the reconstruction model auto-encodes each
-sample and scores it by squared reconstruction error. Both reject a score
-above the floor(eta * N)-th largest training score (:func:`rejection_threshold`,
-also used by :func:`okc.selection.select`), so queries are decided by
-``labels_for(scores(Z))``, and both slide by forgetting the oldest chunk,
-absorbing the new one, and refitting weights and threshold.
+Both frameworks solve one regularized kernel regression of the window onto
+its targets, and differ only in the targets and in how a residual is scored.
+A framework is a :data:`MODELS` class with three attributes:
 
-The training scores need no kernel matrix. With ``phi = K + I / lambda`` and
-``p = phi^-1``, the boundary weights ``beta = p 1`` give ``K beta - 1 =
--beta / lambda``, and the reconstruction weights ``B = p X`` give ``X - K B =
-B / lambda``. So a window row scores ``|beta_i| / lambda`` or ``||B_i||^2 /
-lambda^2``, which also keeps the digits that the subtractive forms lose when
-``beta`` is large. Equal rows have exactly equal scores, so every copy of a
-window row takes the score of its first copy (:func:`first_copies`).
+- ``targets(X)``: what each row is regressed onto. The boundary model
+  regresses every row onto the constant 1; the reconstruction model regresses
+  each row onto itself.
+- ``score(r)``: the outlier score of a residual ``r``: ``|r|`` for boundary,
+  the squared error ``||r||^2`` for reconstruction.
+- ``power``: the degree of ``score``, ``score(r / lambda) = score(r) /
+  lambda**power`` (1 and 2).
+
+With ``phi = K + I / lambda`` and ``p = phi^-1`` the weights are ``beta = p
+targets(window)``, and a query ``z`` scores ``score(targets(z) - k(z) beta)``.
+The training scores need no kernel matrix: ``phi beta = targets`` gives
+``targets - K beta = beta / lambda``, so a window row scores ``score(beta_i) /
+lambda**power``, which also keeps the digits that the subtractive form loses
+when ``beta`` is large. :func:`okc.selection.select` scores its folds with the
+same three attributes. Equal rows have exactly equal scores, so every copy of
+a window row takes the score of its first copy (:func:`first_copies`).
+
+Both reject a score above the floor(eta * N)-th largest training score
+(:func:`rejection_threshold`, also used by :func:`okc.selection.select`), so
+queries are decided by ``labels_for(scores(Z))``, and both slide by forgetting
+the oldest chunk, absorbing the new one, and refitting weights and threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gram_window import RegGramState
-from .kernel import KernelSpec, gram
+from .kernel import RBF, KernelSpec, gram
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -63,9 +72,25 @@ def first_copies(rows: np.ndarray) -> np.ndarray:
 
 
 class _WindowedModel:
-    """Behavior common to both classifiers: threshold, decision, sliding."""
+    """Behavior common to both classifiers: weights, scores, threshold,
+    decision and sliding. A subclass is its framework: ``targets``, ``score``
+    and ``power`` (module docstring). ``beta = p targets(window)`` holds the
+    output weights, one entry or row per window sample."""
 
     framework: str  # the key of the class in MODELS
+    power: int  # score(r / lambda) == score(r) / lambda**power
+
+    @staticmethod
+    def targets(X: np.ndarray) -> np.ndarray:
+        """What each row of ``X`` is regressed onto: one entry or row per row."""
+        raise NotImplementedError
+
+    @staticmethod
+    def score(residuals: np.ndarray) -> np.ndarray:
+        """Outlier score of each residual. A vector target's own last axis is
+        reduced and leading axes are kept, so that every lambda of a search is
+        scored at once."""
+        raise NotImplementedError
 
     def __init__(self, state: RegGramState, eta: float):
         self.state = state
@@ -74,18 +99,16 @@ class _WindowedModel:
         self.theta: float = 0.0
         self._refit()
 
-    # subclasses fill these in
-    def _recompute_weights(self) -> None:
-        raise NotImplementedError
-
     def _training_scores(self) -> np.ndarray:
-        raise NotImplementedError
+        return self.score(self.beta) / self.state.lam**self.power
 
     def scores(self, Z) -> np.ndarray:
-        raise NotImplementedError
+        """Outlier score of each query row: its residual ``targets(z) - k(z) beta``, scored."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        return self.score(self.targets(Z) - gram(self.state.kernel, Z, self.state.window) @ self.beta)
 
     def _refit(self) -> None:
-        self._recompute_weights()
+        self.beta = self.state.p @ self.targets(self.state.window)
         d = self._training_scores()[first_copies(self.state.window)]
         self.train_distances = np.sort(d)[::-1]
         self.theta = rejection_threshold(self.train_distances, self.eta)
@@ -112,52 +135,33 @@ class _WindowedModel:
         self.absorb(chunk)
         return self
 
-    def _kernel_rows(self, Z) -> np.ndarray:
-        """Kernel values of each query against the window, one row per query."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return gram(self.state.kernel, Z, self.state.window)
-
 
 class BoundaryModel(_WindowedModel):
-    """Single-output model: predict the constant 1, score by |prediction - 1|."""
+    """Single-output model: regress onto the constant 1, score by |1 - prediction|."""
 
     framework = "boundary"
+    power = 1
+    score = staticmethod(np.abs)
 
-    def __init__(self, state: RegGramState, eta: float):
-        self.beta: np.ndarray = np.empty(0)
-        super().__init__(state, eta)
-
-    def _recompute_weights(self) -> None:
-        self.beta = self.state.p @ np.ones(self.state.size)
-
-    def _training_scores(self) -> np.ndarray:
-        return np.abs(self.beta) / self.state.lam
-
-    def scores(self, Z) -> np.ndarray:
-        predicted = self._kernel_rows(Z) @ self.beta
-        return np.abs(predicted - 1.0)
+    @staticmethod
+    def targets(X: np.ndarray) -> np.ndarray:
+        return np.ones(len(X))
 
 
 class ReconstructionModel(_WindowedModel):
-    """Auto-encoding model: score by squared reconstruction error."""
+    """Auto-encoding model: regress each sample onto itself, score by squared
+    reconstruction error."""
 
     framework = "reconstruction"
+    power = 2
 
-    def __init__(self, state: RegGramState, eta: float):
-        self.b_matrix: np.ndarray = np.empty((0, 0))
-        super().__init__(state, eta)
+    @staticmethod
+    def targets(X: np.ndarray) -> np.ndarray:
+        return X
 
-    def _recompute_weights(self) -> None:
-        self.b_matrix = self.state.p @ self.state.window
-
-    def _training_scores(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.b_matrix, self.b_matrix) / self.state.lam**2
-
-    def scores(self, Z) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        reconstructed = self._kernel_rows(Z) @ self.b_matrix
-        err = Z - reconstructed
-        return np.einsum("ij,ij->i", err, err)
+    @staticmethod
+    def score(residuals: np.ndarray) -> np.ndarray:
+        return np.einsum("...k,...k->...", residuals, residuals)
 
 
 MODELS: dict[str, type[_WindowedModel]] = {m.framework: m for m in (BoundaryModel, ReconstructionModel)}
@@ -183,7 +187,7 @@ def to_snapshot(model: _WindowedModel) -> dict:
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "framework": model.framework,
-        "kernel": {"kind": model.state.kernel.kind, "sigma": model.state.kernel.sigma},
+        "kernel": {"kind": RBF, "sigma": model.state.kernel.sigma},
         "lambda": model.state.lam,
         "eta": model.eta,
         "theta": model.theta,
@@ -224,8 +228,9 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     InvalidInputError
         If the document is not a version-1 snapshot: a key is missing, the
         kernel is not an object, the window is ragged, empty or non-finite, a
-        scalar is not a finite number, the framework is unknown, or an older
-        document's ``target_value`` is not 1 (its theta has another scale).
+        scalar is not a finite number, the framework or kernel kind is unknown,
+        or an older document's ``target_value`` is not 1 (its theta has
+        another scale).
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"snapshot must be a JSON object, got {type(doc).__name__}")
@@ -242,7 +247,9 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     spec = doc["kernel"]
     if not isinstance(spec, dict) or not {"kind", "sigma"} <= spec.keys():
         raise InvalidInputError(f"snapshot kernel must be an object with kind and sigma, got {spec!r}")
-    kernel = KernelSpec(spec["kind"], _finite(spec["sigma"], "kernel sigma"))
+    if spec["kind"] != RBF:
+        raise InvalidInputError(f"unsupported kernel kind: {spec['kind']!r}")
+    kernel = KernelSpec(_finite(spec["sigma"], "kernel sigma"))
     lam = _finite(doc["lambda"], "lambda")
     if lam <= 0:
         raise InvalidInputError(f"snapshot lambda must be positive, got {lam!r}")

@@ -14,21 +14,19 @@ sigma the kernel matrix ``K`` of the data is built once; for each fold one
 ``eigh`` of the training block, ``K_t = U diag(e) U^T``, gives the
 regularized Gram ``phi(lambda) = U diag(d) U^T`` with ``d = e + 1/lambda`` for
 every lambda of the grid at once (as in exact leave-one-out for LS-SVMs,
-Cawley & Talbot 2004, and GCV, Golub, Heath & Wahba 1979):
+Cawley & Talbot 2004, and GCV, Golub, Heath & Wahba 1979). The weights of
+every lambda, ``beta = U (U^T T / d)`` with ``T`` the framework's targets of
+the training rows, are formed side by side. Training and held-out rows are
+then scored as a fitted model scores them: the framework's ``targets``,
+``score`` and ``power`` (:mod:`okc.models`) give the training scores from
+``beta`` alone and the held-out scores from ``K_c beta``, ``K_c`` the
+held-out x training block.
 
-- boundary: ``beta = U (U^T 1 / d)``. Since ``phi beta = 1``, the training
-  scores ``|K_t beta - 1|`` equal ``|beta| / lambda``; the held-out scores are
-  ``|K_c beta - 1|`` with ``K_c`` the held-out x training block.
-- reconstruction: ``B = U (U^T X_t / d)``; the training errors
-  ``||X_t - K_t B||^2`` row by row equal ``||B_i||^2 / lambda^2``; the held-out
-  errors are ``||z - k(z) B||^2``.
-
-The threshold and the decision are the models' own, and the target is their
-constant 1: :func:`~okc.models.rejection_threshold` over the training scores,
-one threshold per lambda from one call on the (n, L) score matrix, and a
-held-out sample is rejected when its score exceeds its lambda's threshold.
-Equal rows have
-exactly equal scores, so every copy of a row takes the score of its first
+The threshold and the decision are the models' own:
+:func:`~okc.models.rejection_threshold` over the training scores, one
+threshold per lambda from one call on the (n, L) score matrix, and a held-out
+sample is rejected when its score exceeds its lambda's threshold. Equal rows
+have exactly equal scores, so every copy of a row takes the score of its first
 copy in the training fold (:func:`~okc.models.first_copies`, the models' own
 rule); a held-out copy of the training row that sets the threshold then ties
 with it, as in exact arithmetic, instead of falling on either side by
@@ -69,7 +67,7 @@ import numpy as np
 from .errors import IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError
 from .gram_window import CONDITION_LIMIT, condition_1
 from .kernel import KernelSpec, gram, pairwise_distance_range
-from .models import FRAMEWORKS, first_copies, rejection_threshold
+from .models import FRAMEWORKS, MODELS, first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
 # (okcbench/tracing.py) wraps the fit_boundary binding of this module by name.
@@ -173,7 +171,9 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
     regularized Gram is numerically unusable.
 
     ``K_t`` is the training block of the kernel matrix, ``K_c`` the held-out x
-    training block, ``X_t`` and ``X_c`` the training and held-out samples.
+    training block, ``X_t`` and ``X_c`` the training and held-out samples;
+    ``framework`` names the :data:`~okc.models.MODELS` class whose targets and
+    score are used.
     """
     # Copies are found before the factorization: made between the large arrays
     # below, the small temporaries of first_copies raised the peak RSS of a
@@ -187,18 +187,14 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
         return errors
     lams = lams[usable]
     d = e[:, None] + 1.0 / lams  # (n, L): eigenvalues of phi, one column per lambda
-    if framework == "boundary":
-        beta = U @ (U.sum(axis=0)[:, None] / d)
-        train_scores = np.abs(beta) / lams
-        held_scores = np.abs(K_c @ beta - 1.0)
-    else:
-        dims = X_t.shape[1]
-        # B of every lambda side by side, (n, L * dims), so one product serves all
-        B = U @ ((U.T @ X_t)[:, None, :] / d[:, :, None]).reshape(n, -1)
-        B3 = B.reshape(n, lams.size, dims)
-        train_scores = np.einsum("ilk,ilk->il", B3, B3) / lams**2
-        err = X_c[:, None, :] - (K_c @ B).reshape(len(X_c), lams.size, dims)
-        held_scores = np.einsum("ilk,ilk->il", err, err)
+    model = MODELS[framework]
+    targets = model.targets(X_t)
+    # beta of every lambda side by side, (n, L * m) for m target columns, so
+    # one product serves all; a row reshaped to ``per_row`` holds one per lambda
+    per_row = (lams.size, *targets.shape[1:])
+    beta = U @ ((U.T @ targets.reshape(n, -1))[:, None, :] / d[:, :, None]).reshape(n, -1)
+    train_scores = model.score(beta.reshape(n, *per_row)) / lams**model.power
+    held_scores = model.score(model.targets(X_c)[:, None] - (K_c @ beta).reshape(len(X_c), *per_row))
     # Equal rows have, exactly, equal scores: a held-out copy of a training row
     # scores as that row. Taking every copy's score from one row keeps the
     # ties with theta that round-off in the formulas above would break. The
@@ -276,7 +272,7 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     Raises InsufficientMemoryError when the N x N distance or kernel arrays of
     the N rows cannot be allocated.
     """
-    if framework not in FRAMEWORKS:
+    if framework not in MODELS:
         raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
     cfg = cfg or SelectionConfig()
     cfg.validate()

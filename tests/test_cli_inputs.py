@@ -151,3 +151,31 @@ def test_malformed_csv_bytes_are_a_data_error(tmp_path, capsys, command, content
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}: {named}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "run --config"])
+def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"family": "ring", "total": 300\xff}')
+    spec = write(tmp_path, "spec.json", json.dumps(SPEC))
+    argv = {
+        "gen": ["gen", str(bad), str(tmp_path / "o.csv")],
+        "run": ["run", str(bad), "--sigma", "1", "--out", str(tmp_path)],
+        "run --config": ["run", spec, "--config", str(bad), "--out", str(tmp_path)],
+    }[command]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --config errors are argparse usage errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad} is not utf-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["run", "--sigma", "1"], ["run", "--sigma", "auto"], ["select"]])
+def test_csv_without_feature_columns_is_a_data_error(tmp_path, capsys, command):
+    data = write(tmp_path, "labels.csv", "label\n" + "1\n" * 300)
+    flags = ["--out", str(tmp_path)] if command[0] == "run" else []
+    assert main([command[0], data, "--header", *command[1:], *flags]) == 1
+    assert capsys.readouterr() == ("", "error: X has no feature column\n")

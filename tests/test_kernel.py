@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from okc import DegenerateDataError, DimensionError, InvalidInputError, KernelSpec, eval_kernel, gram, pairwise_distance_range
+from okc import (DegenerateDataError, DimensionError, InvalidInputError, KernelSpec, RegGramState, SelectionConfig,
+                 eval_kernel, gram, pairwise_distance_range, select)
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 
@@ -18,11 +19,6 @@ def test_spec_rejects_bad_sigma():
         KernelSpec(sigma=-1.0)
     with pytest.raises(InvalidInputError):
         KernelSpec(sigma=float("nan"))
-
-
-def test_spec_rejects_unknown_kind():
-    with pytest.raises(InvalidInputError):
-        KernelSpec(kind="poly", sigma=1.0)
 
 
 def test_eval_kernel_zero_distance_is_one():
@@ -172,6 +168,20 @@ def test_regularized_gram_positive_definite(lam):
 def test_gram_dimension_mismatch():
     with pytest.raises(DimensionError):
         gram(KernelSpec(sigma=1.0), [[0.0, 1.0]], [[0.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda X: gram(KernelSpec(), X),
+    lambda X: gram(KernelSpec(), X, X),
+    pairwise_distance_range,
+    lambda X: RegGramState(X, 1.0, KernelSpec()),
+    select,
+    lambda X: select(X, "reconstruction", SelectionConfig(sigmas=[1.0])),
+], ids=["gram", "gram-cross", "distance-range", "state", "select", "select-fixed-sigma"])
+def test_matrix_without_feature_columns_is_refused(call):
+    # a CSV with only a label column loads as rows of width 0
+    with pytest.raises(DimensionError, match="X has no feature column"):
+        call(np.empty((20, 0)))
 
 
 def test_pairwise_distance_range_enumeration():

@@ -171,7 +171,7 @@ def test_reconstruction_single_sample_weak_regularization():
     x = np.array([[0.7, -0.2]])
     st = RegGramState(x, 1e8, K1)
     m = fit_reconstruction(st, 0.05)
-    xhat = gram(K1, x, x) @ m.b_matrix
+    xhat = gram(K1, x, x) @ m.beta
     np.testing.assert_allclose(xhat, x, rtol=1e-6)
     assert m.train_distances[0] < 1e-10
 
@@ -203,7 +203,7 @@ def test_reconstruction_sse_matches_naive_loop():
     st = make_state(rng, 30, n=3)
     m = fit_reconstruction(st, 0.1)
     Z = rng.normal(size=(8, 3))
-    xhat = gram(K1, Z, st.window) @ m.b_matrix
+    xhat = gram(K1, Z, st.window) @ m.beta
     expected = np.array([
         sum((Z[t, j] - xhat[t, j]) ** 2 for j in range(3)) for t in range(8)
     ])
@@ -214,7 +214,7 @@ def test_reconstruction_b_is_p_times_window():
     rng = np.random.default_rng(7)
     st = make_state(rng, 40, n=4)
     m = fit_reconstruction(st, 0.1)
-    np.testing.assert_allclose(m.b_matrix, st.p @ st.window, atol=1e-10)
+    np.testing.assert_allclose(m.beta, st.p @ st.window, atol=1e-10)
 
 
 def test_reconstruction_far_probe_scores_squared_norm():
@@ -392,6 +392,13 @@ def test_snapshot_kernel_not_an_object(kernel):
     doc = snapshot_doc()
     doc["kernel"] = kernel
     with pytest.raises(InvalidInputError):
+        from_snapshot(doc)
+
+
+def test_snapshot_unknown_kernel_kind():
+    doc = snapshot_doc()
+    doc["kernel"] = {"kind": "poly", "sigma": 1}
+    with pytest.raises(InvalidInputError, match="kind"):
         from_snapshot(doc)
 
 

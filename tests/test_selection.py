@@ -5,6 +5,7 @@ import pytest
 
 import okc.gram_window
 import okc.kernel
+import okc.models
 import okc.selection
 from okc import (
     DegenerateDataError,
@@ -132,17 +133,21 @@ def dense_fold_error(X, train, held_out, framework, lam, sigma, eta):
     the training scores ``|K beta - 1|`` (or ``||X - K B||^2`` row by row)
     formed with the training kernel matrix, not from the model's own theta, so
     that the reference shares no formula with ``select``; raises
-    IllConditionedError as the fit does."""
+    IllConditionedError as the fit does. Any other framework is looked up in
+    MODELS and scored by its own ``score`` of ``targets - K beta``."""
     spec = KernelSpec(sigma=sigma)
     X_t = X[train]
     K = gram(spec, X_t)
     if framework == "boundary":
         model = fit_boundary(RegGramState(X_t, lam, spec), eta)
         train_scores = np.abs(K @ model.beta - 1.0)
-    else:
+    elif framework == "reconstruction":
         model = fit_reconstruction(RegGramState(X_t, lam, spec), eta)
-        err = X_t - K @ model.b_matrix
+        err = X_t - K @ model.beta
         train_scores = np.einsum("ij,ij->i", err, err)
+    else:
+        model = okc.models.MODELS[framework](RegGramState(X_t, lam, spec), eta)
+        train_scores = model.score(model.targets(X_t) - K @ model.beta)
     theta = rejection_threshold(train_scores, eta)
     return float(np.mean(model.scores(X[held_out]) > theta))
 
@@ -314,6 +319,42 @@ def test_select_deterministic_and_matches_dense_reference():
     b = select(X, "boundary", cfg, seed=11)
     assert a == b
     assert_same_selection(a, dense_select(X, "boundary", cfg, seed=11))
+
+
+class ConstantAndFirstFeatureModel(okc.models._WindowedModel):
+    """A framework defined only here: regress each row onto (2, its first
+    feature) and score by the L1 error. A constant target alone would decide
+    as the boundary model does, since scaling the targets scales every score
+    and the threshold alike."""
+
+    framework = "constant_and_first"
+    power = 1
+
+    @staticmethod
+    def targets(X):
+        return np.column_stack([np.full(len(X), 2.0), X[:, 0]])
+
+    @staticmethod
+    def score(residuals):
+        return np.abs(residuals).sum(axis=-1)
+
+
+def test_select_scores_a_framework_by_its_targets_and_score(monkeypatch):
+    # select must score a framework through its class in MODELS, not by a
+    # branch per known framework: its cv errors equal dense fits of the class
+    # and differ from those of both built-in frameworks.
+    name = ConstantAndFirstFeatureModel.framework
+    monkeypatch.setitem(okc.models.MODELS, name, ConstantAndFirstFeatureModel)
+    X = blob(60, seed=21)
+    cfg = SelectionConfig(folds=3, eta=0.1, lambdas=[1e3, 10.0, 1e-1], sigmas=[0.3, 1.0, 3.0])
+    folds = np.array_split(np.random.default_rng(4).permutation(len(X)), cfg.folds)
+    errors = {fw: [okc.selection._cv_errors(X, folds, fw, cfg.lambdas, sigma, cfg.eta) for sigma in cfg.sigmas]
+              for fw in (name, "boundary", "reconstruction")}
+    dense = [[dense_cv_error(X, folds, name, lam, sigma, cfg.eta) for lam in cfg.lambdas] for sigma in cfg.sigmas]
+    np.testing.assert_allclose(errors[name], dense, rtol=0, atol=1e-12)
+    assert not np.array_equal(errors[name], errors["boundary"])
+    assert not np.array_equal(errors[name], errors["reconstruction"])
+    assert_same_selection(select(X, name, cfg, seed=4), dense_select(X, name, cfg, seed=4))
 
 
 def test_select_reconstruction_framework_runs():
