@@ -57,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help=grid_doc, description=grid_doc)
     p_sel.add_argument("data", help="CSV dataset path")
     _add_schema_flags(p_sel)
+    p_sel.add_argument("--target-label", default=None,
+                       help="raw label value whose rows are the targets; all rows are targets if omitted")
     p_sel.add_argument("--framework", choices=FRAMEWORKS, default="boundary")
     p_sel.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
     p_sel.add_argument("--sigma-thr", type=float, default=2.0,
@@ -71,6 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("input", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_run)
+    p_run.add_argument("--target-label", default=None,
+                       help="raw label value mapped to target (+1), every other label to outlier; "
+                            "if omitted, a label equal to 1 is the target")
     # run-config flags default to SUPPRESS so explicit flags can be layered
     # over --config values over the built-in defaults
     sup = argparse.SUPPRESS
@@ -118,8 +123,6 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", type=_delimiter, default=",", help="CSV delimiter (default ',')")
     p.add_argument("--label-column", default="-1",
                    help="label column index or (with --header) name; default -1, the last column")
-    p.add_argument("--target-label", default=None,
-                   help="raw label value mapped to target (+1); all rows are targets if omitted")
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--normalize", action="store_true", help="min-max scale features to [0, 1]")
 

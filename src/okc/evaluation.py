@@ -8,6 +8,8 @@ of the stream prequentially: every sample is scored by the model as it stood
 on arrival, and in sliding mode the model slides each time a fresh chunk of
 target samples has accumulated. Scoring never mutates the model, so samples
 between two slides are scored as one batch without changing the semantics.
+Both protocols read a label of 1 as a target and any other label as an
+outlier, and pool their decisions into one kind of :class:`EvalReport`.
 """
 
 from __future__ import annotations
@@ -105,26 +107,14 @@ def auc(confusion: dict[str, int]) -> float:
     return 50.0 * (confusion["tp"] / positives + confusion["tn"] / negatives)
 
 
-def batch_sizes(n: int, steps: int) -> list[int]:
-    """Sizes of ``steps`` contiguous near-equal batches covering ``n`` items.
-
-    The remainder is spread over the leading batches, one extra item each.
-    """
-    q, r = divmod(n, steps)
-    return [q + 1] * r + [q] * (steps - r)
-
-
 def stepwise_accuracy(correct, steps: int = 100) -> np.ndarray:
-    """Per-batch accuracy over ``steps`` contiguous batches of the results."""
+    """Per-batch accuracy over ``steps`` contiguous near-equal batches of the
+    results; the remainder is spread over the leading batches, one extra
+    result each."""
     correct = np.asarray(correct, dtype=float)
     if correct.size < steps:
         raise InsufficientDataError(f"need at least {steps} results, got {correct.size}")
-    out = np.empty(steps)
-    pos = 0
-    for i, size in enumerate(batch_sizes(correct.size, steps)):
-        out[i] = correct[pos : pos + size].mean()
-        pos += size
-    return out
+    return np.array([batch.mean() for batch in np.array_split(correct, steps)])
 
 
 def _confusion(actual: np.ndarray, predicted: np.ndarray) -> dict[str, int]:
@@ -149,10 +139,31 @@ def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, fl
     return cfg.lam, float(cfg.sigma)
 
 
-def _maybe_steps(correct: np.ndarray, steps: int = 100) -> list[float] | None:
-    if len(correct) < steps:
-        return None
-    return stepwise_accuracy(correct, steps).tolist()
+def _class_labels(labels: np.ndarray) -> np.ndarray:
+    """+1 where the raw label is 1 (a target), -1 for every other label."""
+    return np.where(labels == 1, np.int8(1), np.int8(-1))  # int8: 0.1 MB per 100k labels, not 0.8
+
+
+def _report(actual: np.ndarray, predicted: np.ndarray, timing: dict[str, float], cfg: RunConfig,
+            lam: float, sigma: float, run_aucs: list[float] | None = None) -> EvalReport:
+    """The report on the pooled +-1 decisions of a protocol. The AUC is the
+    mean of ``run_aucs`` when given, else the pooled one, None without both
+    classes."""
+    conf = _confusion(actual, predicted)
+    if run_aucs is not None:
+        roc = float(np.mean(run_aucs))
+    else:
+        has_both = (conf["tp"] + conf["fn"] > 0) and (conf["tn"] + conf["fp"] > 0)
+        roc = auc(conf) if has_both else None
+    return EvalReport(
+        overall_accuracy=(conf["tp"] + conf["tn"]) / actual.size,
+        auc=roc,
+        step_accuracy=stepwise_accuracy(predicted == actual).tolist() if actual.size >= 100 else None,
+        confusion=conf,
+        timing=timing,
+        config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
+        run_aucs=run_aucs,
+    )
 
 
 def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
@@ -163,7 +174,7 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
     averages per-run AUC.
     """
     cfg.validate()
-    X, y = dataset.X, dataset.y
+    X, y = dataset.X, _class_labels(dataset.y)
     target_idx = np.flatnonzero(y == 1)
     outlier_idx = np.flatnonzero(y == -1)
     if target_idx.size < 2 or outlier_idx.size < 1:
@@ -172,9 +183,9 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
 
     lam = sigma = None
     timing = {"train_s": 0.0, "forget_s": 0.0, "test_s": 0.0}
-    total = {"tp": 0, "fn": 0, "tn": 0, "fp": 0}
     run_aucs: list[float] = []
-    correct: list[np.ndarray] = []
+    actual: list[np.ndarray] = []
+    predicted: list[np.ndarray] = []
     for r in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + r)
         perm = rng.permutation(target_idx.size)
@@ -189,24 +200,11 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
         t0 = time.perf_counter()
         scores = model.scores(X[test_idx])
         timing["test_s"] += time.perf_counter() - t0
-        predicted = model.labels_for(scores)
-        actual = y[test_idx]
-        conf = _confusion(actual, predicted)
-        for k in total:
-            total[k] += conf[k]
-        run_aucs.append(auc(conf))
-        correct.append(predicted == actual)
+        actual.append(y[test_idx])
+        predicted.append(model.labels_for(scores))
+        run_aucs.append(auc(_confusion(actual[-1], predicted[-1])))
 
-    n_scored = sum(total.values())
-    return EvalReport(
-        overall_accuracy=(total["tp"] + total["tn"]) / n_scored,
-        auc=float(np.mean(run_aucs)),
-        step_accuracy=_maybe_steps(np.concatenate(correct)),
-        confusion=total,
-        timing=timing,
-        config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
-        run_aucs=run_aucs,
-    )
+    return _report(np.concatenate(actual), np.concatenate(predicted), timing, cfg, lam, sigma, run_aucs)
 
 
 def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
@@ -217,7 +215,7 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     the model slides whenever ``cfg.chunk`` new target samples have arrived.
     """
     cfg.validate()
-    X, y = stream.X, stream.y
+    X, y = stream.X, _class_labels(stream.y)
     target_pos = np.flatnonzero(y == 1)
     if target_pos.size < cfg.window:
         raise InsufficientDataError(
@@ -264,16 +262,7 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     actual = y[first:]
     if actual.size == 0:
         raise InsufficientDataError("no samples left to score after window initialization")
-    conf = _confusion(actual, predicted)
-    has_both = (conf["tp"] + conf["fn"] > 0) and (conf["tn"] + conf["fp"] > 0)
-    return EvalReport(
-        overall_accuracy=(conf["tp"] + conf["tn"]) / actual.size,
-        auc=auc(conf) if has_both else None,
-        step_accuracy=_maybe_steps(predicted == actual),
-        confusion=conf,
-        timing=timing,
-        config=cfg.to_json_dict() | {"resolved_lambda": lam, "resolved_sigma": sigma},
-    )
+    return _report(actual, predicted, timing, cfg, lam, sigma)
 
 
 def slide_benchmark(window: int = 1000, chunk: int = 50, dims: int = 2,

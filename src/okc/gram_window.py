@@ -42,8 +42,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedError, InvalidInputError, WindowUnderflowError
-from .kernel import KernelSpec, gram
+from .errors import IllConditionedError, InvalidInputError, WindowUnderflowError
+from .kernel import KernelSpec, as_samples, gram
 
 # Reject an inversion when norm1(A) * norm1(A^-1) exceeds this.
 CONDITION_LIMIT = 1e14
@@ -124,10 +124,8 @@ def direct_inverse_oracle(X, lam: float, kernel: KernelSpec) -> tuple[np.ndarray
     Reference path used by tests to validate the incremental updates, and by
     the benchmark as the full-recompute baseline.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    phi = gram(kernel, X) + (1.0 / lam) * np.eye(X.shape[0])
+    K = gram(kernel, X)
+    phi = K + (1.0 / lam) * np.eye(K.shape[0])
     p = _invert(phi, "regularized Gram matrix")
     return phi, p
 
@@ -160,9 +158,7 @@ class RegGramState:
     def __init__(self, X0, lam: float, kernel: KernelSpec):
         if lam <= 0 or not np.isfinite(lam):
             raise InvalidInputError(f"lam must be a positive finite real, got {lam!r}")
-        X0 = np.asarray(X0, dtype=float)
-        if X0.ndim == 1:
-            X0 = X0.reshape(1, -1)
+        X0 = as_samples(X0)
         if X0.shape[0] < 1:
             raise InvalidInputError("initial window must contain at least one sample")
         self.lam = float(lam)
@@ -184,18 +180,12 @@ class RegGramState:
         Only the s x s Schur complement is factored; the stored inverse plays
         the role of the old block's inverse.
         """
-        Xv = np.asarray(Xv, dtype=float)
-        if Xv.ndim == 1:
-            Xv = Xv.reshape(1, -1)
+        Xv = as_samples(Xv)
         s = Xv.shape[0]
         if s == 0:
             return self
-        if Xv.shape[1] != self.window.shape[1]:
-            raise DimensionError(
-                f"chunk has {Xv.shape[1]} features, window has {self.window.shape[1]}"
-            )
         h = self.size
-        phi_uv = gram(self.kernel, self.window, Xv)  # (h, s)
+        phi_uv = gram(self.kernel, self.window, Xv)  # (h, s); refuses a chunk of another width
         phi_v = gram(self.kernel, Xv) + (1.0 / self.lam) * np.eye(s)
 
         t = self.p @ phi_uv  # (h, s)

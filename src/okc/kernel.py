@@ -1,8 +1,9 @@
 """Kernel evaluation and Gram-matrix construction.
 
 Everything downstream (window maintenance, classifiers, model selection)
-funnels its kernel arithmetic through this module, so the functions here are
-deliberately strict: they validate shapes and reject non-finite input.
+funnels its kernel arithmetic and its sample input (:func:`as_samples`) through
+this module, so the functions here are deliberately strict: they validate
+shapes and reject ragged, non-numeric and non-finite input.
 
 Squared distances are accumulated one feature at a time, ``sum_k (x_k -
 y_k)^2`` in feature order, which is the arithmetic of
@@ -44,8 +45,18 @@ class KernelSpec:
             raise InvalidInputError(f"sigma must be a positive finite real, got {self.sigma!r}")
 
 
-def _as_matrix(X, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+def as_samples(X, name: str = "X") -> np.ndarray:
+    """``X`` as an (n, d) float sample matrix; a 1-D vector is one sample.
+
+    Every entry point that takes samples reads them here, directly or through
+    :func:`gram`. Ragged, non-numeric or non-finite input raises
+    InvalidInputError; more than two dimensions or no feature column,
+    DimensionError.
+    """
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
     if X.ndim == 1:
         X = X.reshape(1, -1)
     if X.ndim != 2:
@@ -72,22 +83,21 @@ def _squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for two vectors.
+    """Evaluate k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for two samples.
 
     Computed as the 1 x 1 :func:`gram` of the pair, so the two agree bitwise.
 
     Raises
     ------
     DimensionError
-        If ``x`` and ``y`` differ in length.
+        If ``x`` or ``y`` is not one sample, or they differ in length.
     InvalidInputError
-        If either vector contains NaN/Inf.
+        If either is ragged or non-numeric, or contains NaN/Inf.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionError(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    return float(gram(spec, x, y)[0, 0])
+    k = gram(spec, x, y)
+    if k.shape != (1, 1):
+        raise DimensionError(f"eval_kernel takes one sample each, got {k.shape[0]} and {k.shape[1]}")
+    return float(k[0, 0])
 
 
 def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
@@ -100,12 +110,14 @@ def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     ------
     DimensionError
         If ``X`` and ``Y`` disagree on feature dimension.
+    InvalidInputError
+        If either is not a finite numeric sample matrix (:func:`as_samples`).
     """
-    X = _as_matrix(X, "X")
+    X = as_samples(X)
     if Y is None:
         Y = X
     else:
-        Y = _as_matrix(Y, "Y")
+        Y = as_samples(Y, "Y")
         if X.shape[1] != Y.shape[1]:
             raise DimensionError(
                 f"feature dimensions differ: X has {X.shape[1]}, Y has {Y.shape[1]}"
@@ -129,7 +141,7 @@ def pairwise_distance_range(X) -> tuple[float, float]:
     DegenerateDataError
         If ``X`` has fewer than two rows or all rows are identical.
     """
-    X = _as_matrix(X, "X")
+    X = as_samples(X)
     if X.shape[0] < 2:
         raise DegenerateDataError("need at least 2 samples to measure pairwise distances")
     d2 = _squared_distances(X, X)

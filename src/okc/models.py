@@ -34,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OkcError
 from .gram_window import RegGramState
-from .kernel import RBF, KernelSpec, gram
+from .kernel import RBF, KernelSpec, as_samples, gram
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -104,7 +104,7 @@ class _WindowedModel:
 
     def scores(self, Z) -> np.ndarray:
         """Outlier score of each query row: its residual ``targets(z) - k(z) beta``, scored."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        Z = as_samples(Z)
         return self.score(self.targets(Z) - gram(self.state.kernel, Z, self.state.window) @ self.beta)
 
     def _refit(self) -> None:
@@ -127,12 +127,19 @@ class _WindowedModel:
         self._refit()
 
     def slide(self, chunk) -> "_WindowedModel":
-        """Forget as many samples as the chunk holds, then absorb it."""
-        chunk = np.atleast_2d(np.asarray(chunk, dtype=float))
+        """Forget as many samples as the chunk holds, then absorb it. A chunk
+        that either half refuses leaves the model as it was."""
+        chunk = as_samples(chunk)
         if chunk.shape[0] == 0:
             return self
-        self.forget(chunk.shape[0])
-        self.absorb(chunk)
+        # the mutators assign new arrays, never writing in place: the references undo a forget
+        window, p = self.state.window, self.state.p
+        try:
+            self.forget(chunk.shape[0])
+            self.absorb(chunk)
+        except OkcError:
+            self.state.window, self.state.p = window, p
+            raise
         return self
 
 

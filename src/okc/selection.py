@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError
 from .gram_window import CONDITION_LIMIT, condition_1
-from .kernel import KernelSpec, gram, pairwise_distance_range
+from .kernel import KernelSpec, as_samples, gram, pairwise_distance_range
 from .models import FRAMEWORKS, MODELS, first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
@@ -277,9 +277,7 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     cfg = cfg or SelectionConfig()
     cfg.validate()
     check_seed(seed)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    X = as_samples(X)
     N = X.shape[0]
     if N < 2 * cfg.folds:
         raise InsufficientDataError(f"need at least {2 * cfg.folds} samples for {cfg.folds} folds, got {N}")

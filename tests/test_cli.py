@@ -202,6 +202,22 @@ def test_run_stationary_protocol(tmp_path, capsys):
     assert len(report["run_aucs"]) == 3
 
 
+def test_run_stationary_on_zero_one_labels_without_target_label(tmp_path, capsys):
+    # label 1 is the target and label 0 an outlier when --target-label is omitted
+    spec = write_spec(tmp_path, DRIFT_SPEC)
+    plus_minus, zero_one = tmp_path / "pm.csv", tmp_path / "zo.csv"
+    assert run_cli(["gen", str(spec), str(plus_minus)], capsys)[0] == 0
+    zero_one.write_text(plus_minus.read_text().replace(",-1\n", ",0\n"))
+    code, out, err = run_cli(["run", str(zero_one), "--header", "--protocol", "stationary", "--sigma", "1",
+                              "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    report = json.loads((tmp_path / "zo_boundary_stationary_0.json").read_text())
+    assert run_cli(["run", str(plus_minus), "--header", "--protocol", "stationary", "--sigma", "1",
+                    "--out", str(tmp_path)], capsys)[0] == 0
+    expected = json.loads((tmp_path / "pm_boundary_stationary_0.json").read_text())
+    assert report["confusion"] == expected["confusion"]
+
+
 def test_run_missing_file_exits_1(tmp_path, capsys):
     code, out, err = run_cli(["run", str(tmp_path / "nope.csv"), "--sigma", "1.0"], capsys)
     assert code == 1

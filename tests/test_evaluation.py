@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ from okc import (
     stepwise_accuracy,
 )
 import okc.models
-from okc.evaluation import batch_sizes
 from okc.models import BoundaryModel, ReconstructionModel, fit_reconstruction
 
 
@@ -64,9 +64,12 @@ def test_auc_invariant_under_sample_order():
 
 
 def test_batch_sizes_spread_remainder_leading():
-    assert batch_sizes(205, 100) == [3] * 5 + [2] * 95
-    assert batch_sizes(200, 100) == [2] * 100
-    assert sum(batch_sizes(12345, 100)) == 12345
+    # one hit at each expected batch start, so batch i reads 1 / size_i
+    for n, sizes in ((205, [3] * 5 + [2] * 95), (200, [2] * 100), (12345, [124] * 45 + [123] * 55)):
+        assert sum(sizes) == n
+        correct = np.zeros(n, dtype=bool)
+        correct[np.cumsum([0] + sizes[:-1])] = True
+        assert np.array_equal(stepwise_accuracy(correct, 100), 1.0 / np.array(sizes))
 
 
 def test_stepwise_all_correct():
@@ -84,7 +87,7 @@ def test_stepwise_weighted_mean_equals_overall_exactly():
     rng = np.random.default_rng(1)
     correct = rng.random(937) < 0.8
     acc = stepwise_accuracy(correct, 100)
-    sizes = batch_sizes(937, 100)
+    sizes = [10] * 37 + [9] * 63
     # recompute in exact rational arithmetic
     pos = 0
     weighted = Fraction(0)
@@ -184,9 +187,28 @@ def test_stationary_report_invariants():
     assert rep.auc == pytest.approx(np.mean(rep.run_aucs))
     assert rep.timing["forget_s"] == 0.0
     # pooled accuracy equals the size-weighted mean of the step series
-    sizes = batch_sizes(total, 100)
+    q, r = divmod(total, 100)
+    sizes = [q + 1] * r + [q] * (100 - r)
     weighted = sum(Fraction(a).limit_denominator(10**12) * s for a, s in zip(rep.step_accuracy, sizes))
     assert float(weighted / total) == pytest.approx(rep.overall_accuracy, abs=1e-12)
+
+
+def _without_timing(report):
+    return {k: v for k, v in asdict(report).items() if k != "timing"}
+
+
+@pytest.mark.parametrize("protocol, cfg", [
+    (run_stationary, RunConfig(sigma=1.5, lam=10.0, runs=3, seed=1)),
+    (run_stream, RunConfig(window=100, chunk=25, sigma=1.0, lam=10.0)),
+    (run_stream, RunConfig(window=100, mode="static", sigma=1.0, lam=10.0)),
+], ids=["stationary", "stream-sliding", "stream-static"])
+def test_zero_one_labels_read_as_plus_minus_one(protocol, cfg):
+    # label 1 is the target and any other label an outlier, in both protocols
+    data = gen_stream(DriftStreamSpec(total=1200, velocity=[0.2, 0.0], class_offset=[3.0, 0.0], seed=3))
+    zero_one = Dataset(data.X, np.where(data.y == 1, 1, 0))
+    got = protocol(zero_one, cfg)
+    assert got.step_accuracy is not None
+    assert _without_timing(got) == _without_timing(protocol(data, cfg))
 
 
 def test_stationary_single_run_auc_matches_confusion():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from okc import (DegenerateDataError, DimensionError, InvalidInputError, KernelSpec, RegGramState, SelectionConfig,
-                 eval_kernel, gram, pairwise_distance_range, select)
+                 direct_inverse_oracle, eval_kernel, gram, pairwise_distance_range, select)
+from okc.models import MODELS
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 
@@ -182,6 +183,30 @@ def test_matrix_without_feature_columns_is_refused(call):
     # a CSV with only a label column loads as rows of width 0
     with pytest.raises(DimensionError, match="X has no feature column"):
         call(np.empty((20, 0)))
+
+
+def _fitted(framework):
+    return MODELS[framework](RegGramState(np.random.default_rng(3).normal(size=(20, 2)), 1.0, KernelSpec()), 0.05)
+
+
+@pytest.mark.parametrize("X", [[[0.0, 1.0], [2.0]], [[0.0, 1.0], ["a", 2.0]]], ids=["ragged", "non-numeric"])
+@pytest.mark.parametrize("call", [
+    lambda X: gram(KernelSpec(), X),
+    lambda X: gram(KernelSpec(), [[0.0, 1.0]], X),
+    pairwise_distance_range,
+    lambda X: eval_kernel(KernelSpec(), X, [0.0, 1.0]),
+    lambda X: direct_inverse_oracle(X, 1.0, KernelSpec()),
+    lambda X: RegGramState(X, 1.0, KernelSpec()),
+    lambda X: _fitted("boundary").state.extend(X),
+    lambda X: _fitted("boundary").scores(X),
+    lambda X: _fitted("reconstruction").scores(X),
+    lambda X: _fitted("boundary").slide(X),
+    select,
+], ids=["gram", "gram-Y", "distance-range", "eval-kernel", "oracle", "state", "extend", "boundary-scores",
+        "reconstruction-scores", "slide", "select"])
+def test_ragged_or_non_numeric_samples_are_refused(call, X):
+    with pytest.raises(InvalidInputError, match="must be a rectangular array of numbers"):
+        call(X)
 
 
 def test_pairwise_distance_range_enumeration():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from okc import (
+    DimensionError,
+    IllConditionedError,
     InvalidInputError,
     KernelSpec,
     RegGramState,
@@ -298,6 +300,35 @@ def test_slide_with_reinserted_chunk_rotates_window():
     ref = fit_boundary(RegGramState(X, 10.0, K1), 0.1)
     probes = rng.normal(size=(100, 2))
     np.testing.assert_allclose(m.scores(probes), ref.scores(probes), atol=1e-8)
+
+
+def _duplicated_rows_slide():
+    # 36 distinct points fill a window of 150 with a 1e-8 ridge: the Schur
+    # complement of the first chunk is refused after the forget has happened
+    X = np.random.default_rng(0).integers(1, 7, size=(200, 2)).astype(float)
+    return fit_boundary(RegGramState(X[:150], 1e8, KernelSpec(sigma=3.0)), 0.05), X[150:]
+
+
+def _small_model():
+    return fit_boundary(make_state(np.random.default_rng(17), 20), 0.05)
+
+
+@pytest.mark.parametrize("setup, error", [
+    (lambda: (_small_model(), [[np.nan, 1.0]]), InvalidInputError),
+    (lambda: (_small_model(), np.ones((3, 3))), DimensionError),
+    (lambda: (_small_model(), np.ones((2, 2, 2))), DimensionError),
+    (_duplicated_rows_slide, IllConditionedError),
+], ids=["nan", "wrong-width", "3-d", "ill-conditioned"])
+def test_refused_chunk_leaves_model_as_it_was(setup, error):
+    m, chunk = setup()
+    probes = np.random.default_rng(18).normal(size=(30, 2)) * 3
+    before = [a.tobytes() for a in (m.state.window, m.state.p, m.beta, m.scores(probes))]
+    theta = m.theta
+    with pytest.raises(error):
+        m.slide(chunk)
+    after = [a.tobytes() for a in (m.state.window, m.state.p, m.beta, m.scores(probes))]
+    assert after == before
+    assert m.theta == theta
 
 
 def test_path_independence_of_window_contents():

@@ -369,6 +369,12 @@ def test_select_insufficient_data():
         select(blob(8), "boundary", SelectionConfig(folds=5), seed=0)
 
 
+def test_select_reads_a_vector_as_one_sample():
+    # as every other entry point does: 20 numbers are one 20-feature sample
+    with pytest.raises(InsufficientDataError, match="got 1"):
+        select(np.arange(20.0))
+
+
 def test_select_validates_inputs():
     with pytest.raises(InvalidInputError):
         select(blob(50), "boundary", SelectionConfig(folds=1), seed=0)
