@@ -25,7 +25,8 @@ from .errors import InvalidInputError, OkcError, SpecError
 from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
 from .models import FRAMEWORKS
 from .selection import SelectionConfig, check_seed, select
-from .streams import DatasetSchema, DriftStreamSpec, gen_stream, load_csv, save_csv
+from .streams import (Dataset, DatasetSchema, DriftStreamSpec, gen_stream, load_csv, minmax_normalize,
+                      save_csv, to_one_class)
 
 
 PROTOCOLS = ("stream", "stationary")
@@ -50,19 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("out", help="CSV file to write (header: f1..fn,label)")
 
     grid_doc = (
-        "consistency-based (lambda, sigma) selection on target samples; the grid "
-        "spans the 17 decade lambdas 1e-8..1e8 and 20 sigmas between the minimum "
-        "and maximum pairwise distance"
+        "consistency-based (lambda, sigma) selection on the target rows "
+        "(--target-label); the grid spans the 17 decade lambdas 1e-8..1e8 and "
+        "20 sigmas between the minimum and maximum pairwise distance"
     )
     p_sel = sub.add_parser("select", help=grid_doc, description=grid_doc)
-    p_sel.add_argument("data", help="CSV dataset path")
+    p_sel.add_argument("data", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_sel)
-    p_sel.add_argument("--target-label", default=None,
-                       help="raw label value whose rows are the targets; all rows are targets if omitted")
     p_sel.add_argument("--framework", choices=FRAMEWORKS, default="boundary")
     p_sel.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
     p_sel.add_argument("--sigma-thr", type=float, default=2.0,
-                       help="consistency threshold width in std deviations (default 2)")
+                       help="consistency threshold width in std deviations, finite and >= 0 (default 2)")
     p_sel.add_argument("--eta", type=float, default=0.05,
                        help="target rejection fraction (default 0.05)")
     p_sel.add_argument("--seed", type=int, default=0)
@@ -73,9 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("input", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_run)
-    p_run.add_argument("--target-label", default=None,
-                       help="raw label value mapped to target (+1), every other label to outlier; "
-                            "if omitted, a label equal to 1 is the target")
     # run-config flags default to SUPPRESS so explicit flags can be layered
     # over --config values over the built-in defaults
     sup = argparse.SUPPRESS
@@ -119,28 +115,36 @@ def _delimiter(text: str) -> str:
     return text
 
 
+def _column(text: str) -> int | str:
+    """A column index, or else a column name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", type=_delimiter, default=",", help="CSV delimiter (default ',')")
-    p.add_argument("--label-column", default="-1",
+    p.add_argument("--label-column", type=_column, default="-1",
                    help="label column index or (with --header) name; default -1, the last column")
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--normalize", action="store_true", help="min-max scale features to [0, 1]")
+    p.add_argument("--target-label", default="1",
+                   help="label value of the target rows (+1); every other row is an outlier (-1). "
+                        "Labels compare by value, so 1, 1.0 and 01 all match 1 (default 1)")
 
 
-def _schema_from_args(args, path: str) -> DatasetSchema:
-    col: int | str
-    try:
-        col = int(args.label_column)
-    except ValueError:
-        col = args.label_column
-    return DatasetSchema(
-        path=path,
-        delimiter=args.delimiter,
-        label_column=col,
-        target_label=args.target_label,
-        header=args.header,
-        normalize=args.normalize,
-    )
+def _read_input(args, path: str) -> Dataset:
+    """The rows of a CSV, or of the stream a spec JSON generates, with the
+    features min-max scaled under --normalize and the labels mapped to +1/-1
+    by --target-label."""
+    if Path(path).suffix == ".json":
+        ds = gen_stream(_load_spec(path))
+    else:
+        ds = load_csv(DatasetSchema(path, args.delimiter, args.label_column, args.header))
+    if args.normalize:
+        ds = minmax_normalize(ds)
+    return to_one_class(ds, {args.target_label})[0]
 
 
 def _field_defaults(cls) -> dict:
@@ -209,9 +213,8 @@ def _cmd_select(args, parser) -> int:
         check_seed(args.seed)
     except InvalidInputError as exc:
         parser.error(str(exc))
-    ds = load_csv(_schema_from_args(args, args.data))
-    X = ds.X if args.target_label is None else ds.X[ds.y == 1]
-    result = select(X, args.framework, cfg, seed=args.seed)
+    ds = _read_input(args, args.data)
+    result = select(ds.X[ds.y == 1], args.framework, cfg, seed=args.seed)
     print(json.dumps(result.to_json_dict()))
     return 0
 
@@ -248,11 +251,7 @@ def _cmd_run(args, parser) -> int:
         cfg.validate()
     except InvalidInputError as exc:
         parser.error(str(exc))
-    path = Path(args.input)
-    if path.suffix == ".json":
-        ds = gen_stream(_load_spec(args.input))
-    else:
-        ds = load_csv(_schema_from_args(args, args.input))
+    ds = _read_input(args, args.input)
     if protocol == "stationary":
         report = run_stationary(ds, cfg)
         token = "stationary"
@@ -261,7 +260,7 @@ def _cmd_run(args, parser) -> int:
         token = cfg.mode
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{path.stem}_{cfg.framework}_{token}_{cfg.seed}"
+    stem = f"{Path(args.input).stem}_{cfg.framework}_{token}_{cfg.seed}"
     report.write_json(out_dir / f"{stem}.json")
     report.write_step_csv(out_dir / f"{stem}.csv")
     print(report.summary_line())

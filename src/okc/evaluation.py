@@ -8,8 +8,9 @@ of the stream prequentially: every sample is scored by the model as it stood
 on arrival, and in sliding mode the model slides each time a fresh chunk of
 target samples has accumulated. Scoring never mutates the model, so samples
 between two slides are scored as one batch without changing the semantics.
-Both protocols read a label of 1 as a target and any other label as an
-outlier, and pool their decisions into one kind of :class:`EvalReport`.
+Both protocols read a label of value 1 as a target and any other label as
+an outlier (:func:`~okc.streams.to_one_class`), and pool their decisions
+into one kind of :class:`EvalReport`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
 from .models import FRAMEWORKS, MODELS, fit_boundary
 from .selection import SelectionConfig, check_seed, select
-from .streams import Dataset
+from .streams import Dataset, to_one_class
 
 
 @dataclass
@@ -139,11 +140,6 @@ def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, fl
     return cfg.lam, float(cfg.sigma)
 
 
-def _class_labels(labels: np.ndarray) -> np.ndarray:
-    """+1 where the raw label is 1 (a target), -1 for every other label."""
-    return np.where(labels == 1, np.int8(1), np.int8(-1))  # int8: 0.1 MB per 100k labels, not 0.8
-
-
 def _report(actual: np.ndarray, predicted: np.ndarray, timing: dict[str, float], cfg: RunConfig,
             lam: float, sigma: float, run_aucs: list[float] | None = None) -> EvalReport:
     """The report on the pooled +-1 decisions of a protocol. The AUC is the
@@ -174,7 +170,7 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
     averages per-run AUC.
     """
     cfg.validate()
-    X, y = dataset.X, _class_labels(dataset.y)
+    X, y = dataset.X, to_one_class(dataset, {1})[0].y
     target_idx = np.flatnonzero(y == 1)
     outlier_idx = np.flatnonzero(y == -1)
     if target_idx.size < 2 or outlier_idx.size < 1:
@@ -215,7 +211,7 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     the model slides whenever ``cfg.chunk`` new target samples have arrived.
     """
     cfg.validate()
-    X, y = stream.X, _class_labels(stream.y)
+    X, y = stream.X, to_one_class(stream, {1})[0].y
     target_pos = np.flatnonzero(y == 1)
     if target_pos.size < cfg.window:
         raise InsufficientDataError(

@@ -104,8 +104,8 @@ def consistency_threshold(M: int, eta: float, sigma_thr: float) -> float:
         raise InvalidInputError(f"M must be >= 1, got {M}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidInputError(f"eta must lie in [0, 1], got {eta!r}")
-    if sigma_thr < 0:
-        raise InvalidInputError(f"sigma_thr must be >= 0, got {sigma_thr!r}")
+    if not 0 <= sigma_thr < math.inf:  # NaN fails this test too
+        raise InvalidInputError(f"sigma_thr must be >= 0, got {sigma_thr!r} (finite values only)")
     return eta + sigma_thr * math.sqrt(eta * (1.0 - eta) / M)
 
 
@@ -122,9 +122,9 @@ class SelectionConfig:
             raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
         if not 0 < self.eta <= 1:
             raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
-        if self.sigma_thr < 0:
-            raise InvalidInputError(f"sigma_thr must be >= 0, got {self.sigma_thr!r}")
         # the range tests are written so that NaN fails them too
+        if not 0 <= self.sigma_thr < math.inf:
+            raise InvalidInputError(f"sigma_thr must be >= 0, got {self.sigma_thr!r} (finite values only)")
         if not self.lambdas or any(not 0 < l < math.inf for l in self.lambdas):
             raise InvalidInputError("lambdas must be a non-empty list of positive finite reals")
         if self.sigmas is not None and (not self.sigmas or any(not 0 < s < math.inf for s in self.sigmas)):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -28,6 +29,8 @@ FAMILIES = ("ring", "unimodal_drift", "multimodal_drift", "rotating")
 
 # CSV rows parsed or written at a time; bounds the cells held besides the arrays
 _CHUNK_ROWS = 4096
+# what the surrogateescape error handler reads an undecodable byte as
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class LabeledSample(NamedTuple):
@@ -37,9 +40,11 @@ class LabeledSample(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Features ``X`` (n x d floats) and labels ``y``: +1/-1 ints, or raw
-    int/float/str labels in an object array. ``ds[i]`` and iteration give
-    ``(features, label)`` rows, the features a view into ``X``."""
+    """Features ``X`` (n x d floats) and labels ``y``: +1/-1 ints (from the
+    generators and :func:`to_one_class`), or the int/float/str values of a
+    CSV's label cells in an object array (from :func:`load_csv`). ``ds[i]``
+    and iteration give ``(features, label)`` rows, the features a view into
+    ``X``."""
 
     X: np.ndarray
     y: np.ndarray
@@ -85,6 +90,9 @@ class DriftStreamSpec:
     r_outer: float = 2.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SpecError(f"{name} must be finite, got {value!r}")
         if self.family not in FAMILIES:
             raise SpecError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.total <= 0:
@@ -97,6 +105,8 @@ class DriftStreamSpec:
             raise SpecError(f"n_dims={self.n_dims} is too small for family {self.family!r}")
         if self.spread <= 0:
             raise SpecError(f"spread must be positive, got {self.spread}")
+        if self.wave_period <= 0:
+            raise SpecError(f"wave_period must be positive, got {self.wave_period}")
         for name in ("velocity", "class_offset"):
             vec = getattr(self, name)
             if vec is not None:
@@ -136,8 +146,12 @@ def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> Dataset:
     return Dataset(xy, np.ones(n, dtype=int))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def gen_stream(spec: DriftStreamSpec) -> Dataset:
-    """Generate the labeled stream described by ``spec``, in stream order."""
+    """Generate the labeled stream described by ``spec``, in stream order.
+
+    Raises SpecError when ``spec`` is invalid or its features overflow.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     total, dims = spec.total, spec.n_dims
@@ -149,7 +163,8 @@ def gen_stream(spec: DriftStreamSpec) -> Dataset:
     else:
         means = _class_means(spec, rng, steps, labels)
         X = means + spec.spread * rng.standard_normal((total, dims))
-
+    if not np.isfinite(X).all():
+        raise SpecError("the stream overflows: its features are not all finite")
     return Dataset(X, labels)
 
 
@@ -205,43 +220,49 @@ def _mode_offsets(spec, rng, steps) -> np.ndarray:
 
 @dataclass
 class DatasetSchema:
-    """How to read a labeled CSV: where the label lives and what counts as target.
-
-    ``target_label=None`` keeps the raw labels (parsed as int/float/str) so
-    they can be mapped later with :func:`to_one_class`.
-    """
+    """How to read a labeled CSV: its delimiter, where the label lives, and
+    whether the first row is a header."""
 
     path: str | Path = ""
     delimiter: str = ","
     label_column: int | str = -1
-    target_label: object | None = None
     header: bool = False
-    normalize: bool = False
 
 
-def _parse_raw_label(cell: str):
+def _parse_raw_label(label):
+    """A label's value: text, stripped, reads as an int, else a float, else as
+    itself (``1``, ``1.0`` and `` 01`` are all 1); any other label as itself."""
+    if not isinstance(label, str):
+        return label
+    label = label.strip()
     for cast in (int, float):
         try:
-            return cast(cell)
+            return cast(label)
         except ValueError:
             continue
-    return cell
+    return label
 
 
 def load_csv(schema: DatasetSchema) -> Dataset:
     """Read ``schema.path`` into a dataset, preserving row order; blank lines are skipped.
 
+    It only reads: the labels are the values of the label cells
+    (:func:`_parse_raw_label`) in an object array, and :func:`to_one_class`
+    decides which are targets.
+
     Rows are parsed ``_CHUNK_ROWS`` at a time, so ingest holds one chunk of
-    cells besides the arrays. Raises FormatError (with the offending line
-    number) on non-numeric features, ragged rows, bytes that are not text
-    and CSV syntax errors, and SchemaError when the label column cannot be
-    resolved.
+    cells besides the arrays. Raises FormatError on non-numeric features,
+    ragged rows, bytes that are not text and CSV syntax errors, and
+    SchemaError when the label column cannot be resolved; the error names
+    the first bad line, whatever its fault.
     """
     path = Path(schema.path)
     label_idx = schema.label_column
     X_parts: list[np.ndarray] = []
     label_parts: list[np.ndarray] = []
-    with path.open(newline="") as fh:
+    # Bytes that do not decode are read as lone surrogates and refused with the
+    # row that holds them, so the first bad line is named whatever its fault.
+    with path.open(newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             offset = 0  # rows read before the current chunk
@@ -249,6 +270,7 @@ def load_csv(schema: DatasetSchema) -> Dataset:
                 header = next(reader, None)
                 if header is None:
                     raise FormatError(f"{path}: empty file, expected a header row")
+                _check_text(header, 1, path, fh.encoding)
                 offset = 1
                 if isinstance(label_idx, str):
                     if label_idx not in header:
@@ -258,55 +280,62 @@ def load_csv(schema: DatasetSchema) -> Dataset:
                 raise SchemaError("label column given by name but the file has no header")
 
             width = None  # cells in the first data row
-            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            for chunk in _chunks(reader):
                 data = [row for row in chunk if row]
                 if data:
                     width = width or len(data[0])
                     try:
                         X, labels = _columns(data, label_idx, width)
                     except ValueError:
-                        _raise_first_bad_row(chunk, offset, label_idx, schema.label_column, width)
+                        _raise_first_bad_row(chunk, offset, label_idx, schema.label_column, width,
+                                             path, fh.encoding)
                         raise
                     X_parts.append(X)
-                    label_parts.append(_label_column(labels, schema.target_label))
+                    label_parts.append(labels)
                 offset += len(chunk)
         except csv.Error as exc:
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            line = _undecodable_line(path, fh.encoding)
-            raise FormatError(f"{path}: line {line}: not {fh.encoding} text ({exc.reason})") from None
 
     X = np.concatenate(X_parts) if X_parts else np.empty((0, 0))
-    y = np.concatenate(label_parts) if label_parts else _label_column([], schema.target_label)
-    if schema.target_label is not None:
-        y = np.where(y, 1, -1)
-    ds = Dataset(X, y)
-    return minmax_normalize(ds) if schema.normalize else ds
+    y = np.concatenate(label_parts) if label_parts else np.empty(0, object)
+    return Dataset(X, y)
 
 
-def _columns(rows: list[list[str]], label_idx: int, width: int) -> tuple[np.ndarray, list[str]]:
-    """The rows' features and stripped label cells; a malformed row raises ValueError.
+def _chunks(reader):
+    """The reader's rows, ``_CHUNK_ROWS`` at a time. The rows read before a CSV
+    syntax error are yielded before the error is raised."""
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _columns(rows: list[list[str]], label_idx: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' features and label values; a malformed row raises ValueError.
 
     Every row must have ``width`` cells, the width of the file's first data row.
     """
     if any(len(row) != width for row in rows) or not -width <= label_idx < width:
         raise ValueError("rows differ in width or lack the label column")
     columns = list(zip(*rows))
-    labels = list(map(str.strip, columns.pop(label_idx)))
+    cells = columns.pop(label_idx)
+    values = {cell: _parse_raw_label(cell) for cell in set(cells)}  # each distinct cell parsed once
+    if any(map(_UNDECODED.search, values)):
+        raise ValueError("a label cell holds bytes that did not decode")
     X = np.empty((len(rows), width - 1))
     for j, column in enumerate(columns):
         X[:, j] = np.fromiter(map(float, column), float, len(rows))
-    return X, labels
+    return X, np.fromiter(map(values.__getitem__, cells), object, len(rows))
 
 
-def _label_column(labels: list[str], target_label) -> np.ndarray:
-    """Raw labels parsed as int/float/str, or whether each equals ``target_label``."""
-    if target_label is None:
-        return np.fromiter(map(_parse_raw_label, labels), object, len(labels))
-    return np.fromiter(map(str(target_label).__eq__, labels), bool, len(labels))
-
-
-def _raise_first_bad_row(rows, offset: int, label_idx: int, label_column, width: int) -> None:
+def _raise_first_bad_row(rows, offset: int, label_idx: int, label_column, width: int,
+                         path: Path, encoding: str) -> None:
     """Raise the error of the first malformed row of a chunk, naming its line.
 
     ``offset`` rows of the file precede the chunk, and ``width`` is the cell
@@ -315,6 +344,7 @@ def _raise_first_bad_row(rows, offset: int, label_idx: int, label_column, width:
     for lineno, row in enumerate(rows, start=offset + 1):
         if not row:
             continue
+        _check_text(row, lineno, path, encoding)
         if not -len(row) <= label_idx < len(row):
             raise SchemaError(f"line {lineno}: no column {label_column!r} in {len(row)}-cell row")
         if len(row) != width:
@@ -327,15 +357,10 @@ def _raise_first_bad_row(rows, offset: int, label_idx: int, label_column, width:
                 raise FormatError(f"line {lineno}: non-numeric feature {cell!r}") from None
 
 
-def _undecodable_line(path: Path, encoding: str) -> int:
-    """The first line of ``path`` that does not decode; lines split at newline bytes."""
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode(encoding)
-            except UnicodeDecodeError:
-                return lineno
-    return lineno
+def _check_text(row: list[str], lineno: int, path: Path, encoding: str) -> None:
+    """Raise FormatError if ``row`` holds bytes that did not decode."""
+    if _UNDECODED.search("".join(row)):
+        raise FormatError(f"{path}: line {lineno}: not {encoding} text")
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -359,12 +384,16 @@ def minmax_normalize(ds: Dataset) -> Dataset:
 
 
 def to_one_class(ds: Dataset, target_labels) -> tuple[Dataset, dict[str, int]]:
-    """Map raw labels to +1 (in ``target_labels``) / -1, sharing ``X``; returns the class counts too."""
-    target_labels = set(target_labels)
-    if not target_labels:
+    """Map labels to int8 +1 (equal in value to one of ``target_labels``) / -1,
+    sharing ``X``; returns the class counts too. A text target is read as a
+    label cell is (:func:`_parse_raw_label`): ``"1"`` matches the labels 1 and 1.0.
+    """
+    targets = set(map(_parse_raw_label, target_labels))
+    if not targets:
         raise EmptyTargetError("target label set is empty")
-    is_target = np.fromiter(map(target_labels.__contains__, ds.y.tolist()), bool, len(ds))
-    n_target = int(is_target.sum())
+    mask = np.fromiter(map(targets.__contains__, ds.y.tolist()), bool, len(ds))
+    n_target = int(mask.sum())
     if n_target == 0:
-        raise EmptyTargetError(f"no sample carries a label in {sorted(map(str, target_labels))}")
-    return Dataset(ds.X, np.where(is_target, 1, -1)), {"target": n_target, "outlier": len(ds) - n_target}
+        raise EmptyTargetError(f"no sample carries a label in {sorted(map(str, targets))}")
+    y = np.where(mask, np.int8(1), np.int8(-1))  # int8: 0.1 MB per 100k labels, not 0.8
+    return Dataset(ds.X, y), {"target": n_target, "outlier": len(ds) - n_target}

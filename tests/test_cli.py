@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import okc.kernel
-from okc import DatasetSchema, load_csv
+from okc import DatasetSchema, load_csv, to_one_class
 from okc.cli import main
 
 RING_SPEC = {"family": "ring", "total": 300, "seed": 4, "r_inner": 1.0, "r_outer": 2.0}
@@ -21,9 +21,18 @@ DRIFT_SPEC = {
 }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli(args, capsys):
+    """Run ``okc args``; the stdout of a successful command other than
+    ``version`` must be lines of strict JSON (no NaN or Infinity)."""
     code = main(args)
     out = capsys.readouterr()
+    if code == 0 and args[0] != "version":
+        for line in out.out.splitlines():
+            json.loads(line, parse_constant=_refuse_constant)
     return code, out.out, out.err
 
 
@@ -141,8 +150,8 @@ def test_select_out_of_memory_exits_1(blob_csv, tmp_path, capsys, monkeypatch, c
     def no_memory(X, Y):
         raise MemoryError(f"Unable to allocate an array with shape ({len(X)}, {len(Y)})")
 
-    targets = int((load_csv(DatasetSchema(path=str(blob_csv), header=True, label_column="label",
-                                          target_label="1")).y == 1).sum())
+    raw = load_csv(DatasetSchema(path=str(blob_csv), header=True, label_column="label"))
+    targets = to_one_class(raw, {"1"})[1]["target"]
     monkeypatch.setattr(okc.kernel, "_squared_distances", no_memory)
     flags = {"select": [], "run": ["--sigma", "auto", "--out", str(tmp_path)]}[command]
     code, out, err = run_cli([command, str(blob_csv), "--header", "--label-column", "label",
@@ -216,6 +225,59 @@ def test_run_stationary_on_zero_one_labels_without_target_label(tmp_path, capsys
                     "--out", str(tmp_path)], capsys)[0] == 0
     expected = json.loads((tmp_path / "pm_boundary_stationary_0.json").read_text())
     assert report["confusion"] == expected["confusion"]
+
+
+@pytest.fixture
+def label_texts(tmp_path, capsys):
+    """One small drift stream saved twice: with +-1 labels, and with each
+    target's label written as 1, 1.0 or ' 01' in turn (outliers stay -1)."""
+    spec = write_spec(tmp_path, {**DRIFT_SPEC, "total": 400})
+    plus_minus, mixed = tmp_path / "pm.csv", tmp_path / "mixed.csv"
+    assert run_cli(["gen", str(spec), str(plus_minus)], capsys)[0] == 0
+    header, *rows = plus_minus.read_text().splitlines()
+    texts = iter(["1", "1.0", " 01"] * len(rows))
+    rows = [row if row.endswith(",-1") else row[: -len("1")] + next(texts) for row in rows]
+    mixed.write_text("\n".join([header, *rows]) + "\n")
+    return plus_minus, mixed
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--window", "40", "--chunk", "10", "--sigma", "1"],
+    ["run", "--protocol", "stationary", "--sigma", "1"],
+    ["select"],
+])
+def test_target_label_one_matches_every_text_of_label_one(label_texts, tmp_path, capsys, command):
+    # without --target-label, --target-label 1, and on the +-1 file, the same rows are the targets
+    outputs = []
+    for data, flags in [(label_texts[0], []), (label_texts[1], []), (label_texts[1], ["--target-label", "1"]),
+                        (label_texts[0], ["--target-label", "1"])]:
+        out_dir = tmp_path / f"out{len(outputs)}"
+        argv = [command[0], str(data), "--header", *command[1:], *flags]
+        code, out, err = run_cli(argv + (["--out", str(out_dir)] if command[0] == "run" else []), capsys)
+        assert code == 0, err
+        if command[0] == "run":
+            report = json.loads(next(out_dir.glob("*.json")).read_text())
+            out = {k: v for k, v in report.items() if k != "timing"}
+        outputs.append(out)
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def test_select_reads_a_spec_as_run_does(tmp_path, capsys):
+    spec = write_spec(tmp_path, {**DRIFT_SPEC, "total": 300})
+    data = tmp_path / "spec.csv"
+    assert run_cli(["gen", str(spec), str(data)], capsys)[0] == 0
+    from_spec = run_cli(["select", str(spec)], capsys)
+    assert from_spec[0] == 0
+    assert from_spec == run_cli(["select", str(data), "--header"], capsys)
+
+
+@pytest.mark.parametrize("command", [["select"], ["run", "--sigma", "1"]])
+def test_no_target_row_is_a_data_error(tmp_path, capsys, command):
+    data = tmp_path / "zero_two.csv"
+    data.write_text("".join(f"{i}.0,{i % 5}.5,{2 * (i % 2)}\n" for i in range(200)))
+    flags = ["--out", str(tmp_path)] if command[0] == "run" else []
+    assert main([command[0], str(data), *command[1:], *flags]) == 1
+    assert capsys.readouterr() == ("", "error: no sample carries a label in ['1']\n")
 
 
 def test_run_missing_file_exits_1(tmp_path, capsys):

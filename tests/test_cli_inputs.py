@@ -72,6 +72,25 @@ def test_spec_wrong_type_exits_2(tmp_path, capsys, doc, named):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("doc, named", [
+    ('{"spread": NaN}', "spread must be finite, got nan"),
+    ('{"wave_amplitude": -Infinity}', "wave_amplitude must be finite, got -inf"),
+    ('{"wave_amplitude": 1, "wave_period": 0}', "wave_period must be positive, got 0"),
+    ('{"family": "rotating", "rotation_period": NaN}', "rotation_period must be finite, got nan"),
+    ('{"family": "rotating", "rotation_period": 0}', "rotation_period must be positive, got 0"),
+    ('{"spread": 1e308}', "the stream overflows"),
+    ('{"velocity": [1e307, 0], "total": 20000}', "the stream overflows"),
+])
+def test_spec_with_non_finite_features_exits_2(tmp_path, capsys, doc, named):
+    spec = write(tmp_path, "spec.json", doc)
+    assert main(["gen", spec, str(tmp_path / "o.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"invalid spec: {named}")
+    assert main(["run", spec, "--sigma", "1", "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists() and not list(tmp_path.glob("spec_*"))
+
+
 def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys):
     spec = write(tmp_path, "spec.json", "[1, 2]")
     assert main(["gen", spec, str(tmp_path / "o.csv")]) == 2
@@ -117,6 +136,8 @@ def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc,
     (["--sigma-thr", "-1"], "sigma_thr must be >= 0, got -1.0"),
     (["--folds", "1"], "folds must be >= 2, got 1"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--sigma-thr", "nan"], "sigma_thr must be >= 0, got nan"),
+    (["--sigma-thr", "inf"], "sigma_thr must be >= 0, got inf"),
 ])
 def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, named):
     data = write(tmp_path, "d.csv", "".join(f"{i}.0,{i % 3}.5,1\n" for i in range(20)))

@@ -42,6 +42,14 @@ def test_threshold_sigma_thr_zero():
     assert consistency_threshold(37, 0.05, 0.0) == 0.05
 
 
+@pytest.mark.parametrize("sigma_thr", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_sigma_thr_is_refused(sigma_thr):
+    with pytest.raises(InvalidInputError, match="sigma_thr must be >= 0"):
+        consistency_threshold(20, 0.05, sigma_thr)
+    with pytest.raises(InvalidInputError, match="sigma_thr must be >= 0"):
+        SelectionConfig(sigma_thr=sigma_thr).validate()
+
+
 def test_threshold_reference_value():
     # 0.05 + 2 * sqrt(0.05 * 0.95 / 20), cross-checked at 50-digit precision
     assert consistency_threshold(20, 0.05, 2.0) == pytest.approx(0.14746794344808964, abs=1e-15)

@@ -165,7 +165,7 @@ def test_spec_validation_errors():
 def test_load_csv_with_header_and_target_label(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("a,b,cls\n1.0,2.0,g\n3.5,-1.0,h\n")
-    samples = load_csv(DatasetSchema(path=path, label_column="cls", target_label="g", header=True))
+    samples = to_one_class(load_csv(DatasetSchema(path=path, label_column="cls", header=True)), {"g"})[0]
     assert len(samples) == 2
     assert samples[0].label == 1 and samples[1].label == -1
     assert samples[0].features.tolist() == [1.0, 2.0]
@@ -175,7 +175,7 @@ def test_load_csv_with_header_and_target_label(tmp_path):
 def test_load_csv_label_by_index(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("1,0.5,9\n2,0.25,4\n")
-    samples = load_csv(DatasetSchema(path=path, label_column=-1, target_label="9"))
+    samples = to_one_class(load_csv(DatasetSchema(path=path, label_column=-1)), {"9"})[0]
     assert samples[0].label == 1 and samples[1].label == -1
     assert samples[1].features.tolist() == [2.0, 0.25]
 
@@ -192,14 +192,14 @@ def test_load_csv_non_numeric_feature_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f1,cls\n1.0,a\noops,b\n")
     with pytest.raises(FormatError, match="line 3"):
-        load_csv(DatasetSchema(path=path, label_column="cls", target_label="a", header=True))
+        load_csv(DatasetSchema(path=path, label_column="cls", header=True))
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0,a\n1.0,b\n")
     with pytest.raises(FormatError, match="line 2"):
-        load_csv(DatasetSchema(path=path, target_label="a"))
+        load_csv(DatasetSchema(path=path))
 
 
 def test_load_csv_missing_label_column(tmp_path):
@@ -216,7 +216,7 @@ def test_csv_round_trip_exact(tmp_path):
     ds = Dataset(rng.normal(size=(20, 3)), np.where(np.arange(20) % 2, 1, -1))
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
-    loaded = load_csv(DatasetSchema(path=path, label_column="label", target_label="1", header=True))
+    loaded = to_one_class(load_csv(DatasetSchema(path=path, label_column="label", header=True)), {"1"})[0]
     assert np.array_equal(loaded.X, ds.X)
     assert np.array_equal(loaded.y, ds.y)
 
@@ -224,7 +224,7 @@ def test_csv_round_trip_exact(tmp_path):
 def test_minmax_normalize_option(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("0.0,10.0,x\n5.0,20.0,x\n10.0,10.0,y\n")
-    X = load_csv(DatasetSchema(path=path, target_label="x", normalize=True)).X
+    X = minmax_normalize(load_csv(DatasetSchema(path=path))).X
     assert X.min() == 0.0 and X.max() == 1.0
     np.testing.assert_allclose(X[:, 0], [0.0, 0.5, 1.0])
 
@@ -239,9 +239,8 @@ def test_minmax_normalize_constant_column():
 def test_load_csv_without_data_rows_gives_an_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x,y,cls\n\n")
-    for normalize in (False, True):
-        ds = load_csv(DatasetSchema(path=path, label_column="cls", target_label="1", header=True,
-                                    normalize=normalize))
+    for read in (load_csv, lambda schema: minmax_normalize(load_csv(schema))):
+        ds = read(DatasetSchema(path=path, label_column="cls", header=True))
         assert len(ds) == 0
         assert ds.X.shape == (0, 0) and ds.y.shape == (0,)
 
@@ -254,16 +253,16 @@ def test_minmax_normalize_without_rows_returns_the_dataset():
 # ---- row access -------------------------------------------------------------
 
 
-def raw_label_csv(tmp_path, target_label=None):
+def raw_label_csv(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("x,y,cls\n1.5,-2.0,3\n0.25,4.0,jack\n-1.0,0.5,2.5\n")
-    return load_csv(DatasetSchema(path=path, label_column="cls", target_label=target_label, header=True))
+    return load_csv(DatasetSchema(path=path, label_column="cls", header=True))
 
 
 ROW_SOURCES = {
     "gen_stream": lambda tmp_path: gen_stream(DriftStreamSpec(total=300, velocity=[0.1, 0.0], seed=41)),
     "gen_ring": lambda tmp_path: gen_ring(200, 1.0, 2.0, seed=43),
-    "load_csv_target": lambda tmp_path: raw_label_csv(tmp_path, target_label="3"),
+    "load_csv_target": lambda tmp_path: to_one_class(raw_label_csv(tmp_path), {"3"})[0],
     "load_csv_raw": raw_label_csv,
 }
 
@@ -277,9 +276,8 @@ def test_iterating_rows_rebuilds_the_columns_bitwise(tmp_path, source):
     assert X.shape == ds.X.shape and X.tobytes() == ds.X.tobytes()
     assert labels == ds.y.tolist()
     assert [type(label) for label in labels] == [type(label) for label in ds.y.tolist()]
-    if ds.y.dtype != object:
-        y = np.array(labels)
-        assert y.dtype == ds.y.dtype and np.array_equal(y, ds.y)
+    if ds.y.dtype != object:  # rows carry Python ints, so the column's int width is given back
+        assert np.array_equal(np.array(labels, dtype=ds.y.dtype), ds.y)
 
 
 @pytest.mark.parametrize("source", sorted(ROW_SOURCES))
@@ -310,6 +308,23 @@ def test_to_one_class_shares_the_csv_features(tmp_path):
 
 
 # ---- one-class relabeling ---------------------------------------------------
+
+
+def test_to_one_class_reads_a_text_target_as_a_label_cell(tmp_path):
+    ds = raw_label_csv(tmp_path)  # labels 3, "jack", 2.5
+    for target in ("3", " 03", "3.0", 3, 3.0):
+        relabeled, counts = to_one_class(ds, {target})
+        assert relabeled.y.tolist() == [1, -1, -1] and relabeled.y.dtype == np.int8
+    assert to_one_class(ds, {"2.5", " jack "})[0].y.tolist() == [-1, 1, 1]
+
+
+def test_label_one_matches_by_value_whatever_its_text(tmp_path):
+    path = tmp_path / "ones.csv"
+    path.write_text("0.0,1\n1.0,1.0\n2.0,-1\n3.0, 01\n")
+    raw = load_csv(DatasetSchema(path=path))
+    assert [(type(v), v) for v in raw.y.tolist()] == [(int, 1), (float, 1.0), (int, -1), (int, 1)]
+    for target in ("1", 1):
+        assert to_one_class(raw, {target})[0].y.tolist() == [1, 1, -1, 1]
 
 
 def test_to_one_class_poker_style():
@@ -353,26 +368,51 @@ def test_load_csv_non_numeric_cell_deep_in_file_names_its_line(tmp_path):
     rows[1800] = "nope,1.0,b"  # a later bad cell must not be the one named
     path = write_rows(tmp_path / "deep.csv", rows)
     with pytest.raises(FormatError, match=r"^line 1500: non-numeric feature 'oops'$"):
-        load_csv(DatasetSchema(path=path, label_column="cls", target_label="a", header=True))
+        load_csv(DatasetSchema(path=path, label_column="cls", header=True))
 
 
 def test_load_csv_ragged_row_after_blank_rows_names_its_line(tmp_path):
     path = write_rows(tmp_path / "ragged.csv",
                       ["1.0,2.0,a", "", "", "3.0,4.0,b", "5.0,a", "6.0,7.0,8.0,a"])
     with pytest.raises(FormatError, match=r"^line 5: expected 2 features, got 1$"):
-        load_csv(DatasetSchema(path=path, target_label="a"))
+        load_csv(DatasetSchema(path=path))
 
 
 def test_load_csv_label_index_out_of_range_on_short_row(tmp_path):
     path = write_rows(tmp_path / "short.csv", ["1.0,2.0,a", "", "3.0,4.0,b", "5.0", "x,y,a"])
     with pytest.raises(SchemaError, match=r"^line 4: no column 2 in 1-cell row$"):
-        load_csv(DatasetSchema(path=path, label_column=2, target_label="a"))
+        load_csv(DatasetSchema(path=path, label_column=2))
 
 
 def test_load_csv_first_bad_line_wins_across_error_kinds(tmp_path):
     path = write_rows(tmp_path / "mixed.csv", ["1.0,2.0,a", "", "3.0,bad,b", "5.0,a"])
     with pytest.raises(FormatError, match=r"^line 3: non-numeric feature 'bad'$"):
-        load_csv(DatasetSchema(path=path, target_label="a"))
+        load_csv(DatasetSchema(path=path))
+
+
+@pytest.mark.parametrize("line5, named", [
+    (b"1.0,\xff,a", r"line 3: non-numeric feature 'bad'"),
+    (b'1.0,"' + b"9" * 200_000 + b'",a', r"line 3: non-numeric feature 'bad'"),
+    (b"1.0,2.0,\xff", r"line 3: non-numeric feature 'bad'"),
+])
+def test_load_csv_names_a_malformed_row_ahead_of_later_bytes_that_do_not_decode(tmp_path, line5, named):
+    # undecodable bytes and CSV syntax errors are found as the text is read,
+    # before the rows ahead of them are converted
+    path = tmp_path / "order.csv"
+    path.write_bytes(b"1.0,2.0,a\n1.0,2.0,a\nbad,2.0,a\n1.0,2.0,a\n" + line5 + b"\n")
+    with pytest.raises(FormatError, match=rf"^{named}$"):
+        load_csv(DatasetSchema(path=path))
+
+
+@pytest.mark.parametrize("content, line", [
+    (b"1.0,2.0,a\n1.0,2.0,b\xff\n", 2),
+    (b"x,y\xfe,cls\n1.0,2.0,a\n", 1),
+])
+def test_load_csv_undecodable_label_or_header_cell_names_its_line(tmp_path, content, line):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=rf"^{path}: line {line}: not utf-8 text$"):
+        load_csv(DatasetSchema(path=path, header=content.startswith(b"x")))
 
 
 # ---- chunked ingest ---------------------------------------------------------
@@ -391,7 +431,7 @@ def test_load_csv_non_numeric_cell_in_a_later_chunk_names_its_line(tmp_path):
     rows[3 * CHUNK + 90] = "nope,1.0,b"
     path = write_rows(tmp_path / "late.csv", rows)
     with pytest.raises(FormatError, match=rf"^line {3 * CHUNK + 8}: non-numeric feature 'oops'$"):
-        load_csv(DatasetSchema(path=path, target_label="a"))
+        load_csv(DatasetSchema(path=path))
 
 
 @pytest.mark.parametrize("row, got", [("7.0,a", 1), ("7.0,1.0,2.0,a", 3)])
@@ -422,7 +462,7 @@ def test_load_csv_skips_blank_rows_across_a_chunk_boundary(tmp_path):
     rows[CHUNK - 3 : CHUNK + 3] = [""] * 6
     rows[2 * CHUNK - 1] = ""  # the last row of the second chunk
     path = write_rows(tmp_path / "blanks.csv", rows)
-    ds = load_csv(DatasetSchema(path=path, target_label="a"))
+    ds = to_one_class(load_csv(DatasetSchema(path=path)), {"a"})[0]
     kept = [i for i, row in enumerate(rows) if row]
     assert ds.X.tolist() == [[float(cell) for cell in rows[i].split(",")[:2]] for i in kept]
     assert ds.y.tolist() == [1 if i % 3 else -1 for i in kept]
@@ -445,10 +485,11 @@ def test_load_csv_header_only_and_empty_files(tmp_path):
     header_only = write_rows(tmp_path / "header.csv", ["x,y,cls"])
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    for target_label, dtype in (("1", int), (None, object)):
-        for path, header in ((header_only, True), (empty, False)):
-            ds = load_csv(DatasetSchema(path=path, target_label=target_label, header=header))
-            assert ds.X.shape == (0, 0) and ds.y.shape == (0,) and ds.y.dtype == dtype
+    for path, header in ((header_only, True), (empty, False)):
+        ds = load_csv(DatasetSchema(path=path, header=header))
+        assert ds.X.shape == (0, 0) and ds.y.shape == (0,) and ds.y.dtype == object
+        with pytest.raises(EmptyTargetError):
+            to_one_class(ds, {"1"})
     with pytest.raises(FormatError, match="empty file, expected a header row"):
         load_csv(DatasetSchema(path=empty, header=True))
 
@@ -472,7 +513,7 @@ def test_load_csv_peak_memory_is_bounded_by_a_few_times_the_arrays(tmp_path):
     path = write_rows(tmp_path / "big.csv", rows)
     tracemalloc.start()
     try:
-        ds = load_csv(DatasetSchema(path=path, target_label="1"))
+        ds = load_csv(DatasetSchema(path=path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
