@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``gen`` (write a synthetic stream to CSV), ``select``
-(consistency-based hyperparameter search), ``run`` (stationary or stream
-evaluation, reports written as JSON plus a per-step CSV), ``bench``
+(consistency-based hyperparameter search), ``run`` (evaluation in the
+sliding, static or stationary mode, reports written as JSON plus a per-step
+CSV), ``bench``
 (incremental-vs-recompute slide cost) and ``version``.
 
 stdout carries machine-readable results only; diagnostics go to stderr.
@@ -22,14 +23,14 @@ from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 from .errors import InvalidInputError, OkcError, SpecError
-from .evaluation import RunConfig, run_stationary, run_stream, slide_benchmark
+from .evaluation import MODES, RunConfig, run_stationary, run_stream, slide_benchmark
 from .models import FRAMEWORKS
 from .selection import SelectionConfig, check_seed, select
-from .streams import (Dataset, DatasetSchema, DriftStreamSpec, gen_stream, load_csv, minmax_normalize,
-                      save_csv, to_one_class)
+from .streams import (TARGET_LABEL, Dataset, DatasetSchema, DriftStreamSpec, gen_stream, load_csv,
+                      minmax_normalize, save_csv, to_one_class)
 
-
-PROTOCOLS = ("stream", "stationary")
+# the report's config keys, which --config takes: lambda names the field lam
+RUN_DEFAULTS = RunConfig().to_json_dict()
 
 
 def _package_version() -> str:
@@ -58,13 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help=grid_doc, description=grid_doc)
     p_sel.add_argument("data", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_sel)
-    p_sel.add_argument("--framework", choices=FRAMEWORKS, default="boundary")
-    p_sel.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
-    p_sel.add_argument("--sigma-thr", type=float, default=2.0,
-                       help="consistency threshold width in std deviations, finite and >= 0 (default 2)")
-    p_sel.add_argument("--eta", type=float, default=0.05,
-                       help="target rejection fraction (default 0.05)")
-    p_sel.add_argument("--seed", type=int, default=0)
+    p_sel.add_argument("--framework", choices=FRAMEWORKS, default=RunConfig.framework)
+    p_sel.add_argument("--folds", type=int, default=SelectionConfig.folds,
+                       help="cross-validation folds (default %(default)s)")
+    p_sel.add_argument("--sigma-thr", type=float, default=SelectionConfig.sigma_thr,
+                       help="consistency threshold width in std devs, finite and >= 0 (default %(default)s)")
+    p_sel.add_argument("--eta", type=float, default=SelectionConfig.eta,
+                       help="target rejection fraction (default %(default)s)")
+    p_sel.add_argument("--seed", type=int, default=RunConfig.seed)
 
     p_run = sub.add_parser(
         "run",
@@ -72,28 +74,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("input", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_run)
-    # run-config flags default to SUPPRESS so explicit flags can be layered
-    # over --config values over the built-in defaults
-    sup = argparse.SUPPRESS
     p_run.add_argument("--config", default=None,
-                       help="JSON file of run settings; flags given here override it")
-    p_run.add_argument("--framework", choices=FRAMEWORKS, default=sup,
-                       help="(default boundary)")
-    p_run.add_argument("--protocol", choices=PROTOCOLS, default=sup,
-                       help="prequential stream walk or repeated shuffled-split runs (default stream)")
-    p_run.add_argument("--mode", choices=("sliding", "static"), default=sup,
-                       help="stream protocol only: slide the window or train once (default sliding)")
-    p_run.add_argument("--window", type=int, default=sup, help="sliding window size (default 150)")
-    p_run.add_argument("--chunk", type=int, default=sup, help="slide chunk size (default 50)")
-    p_run.add_argument("--eta", type=float, default=sup,
-                       help="target rejection fraction (default 0.05)")
-    p_run.add_argument("--lambda", dest="lam", type=float, default=sup,
-                       help="regularization parameter (default 1.0; ignored when --sigma auto)")
-    p_run.add_argument("--sigma", default=sup,
-                       help="kernel width, or 'auto' for consistency-based selection (default auto)")
-    p_run.add_argument("--runs", type=int, default=sup,
-                       help="stationary protocol repetitions (default 1)")
-    p_run.add_argument("--seed", type=int, default=sup, help="(default 0)")
+                       help="JSON file of run settings keyed as the report's config; flags override it")
+    _add_run_flag(p_run, "framework", "", choices=FRAMEWORKS)
+    _add_run_flag(p_run, "mode", "sliding: slide the window by --chunk targets; static: train once on the "
+                  "first --window targets; stationary: --runs shuffled 70/30 splits", choices=MODES)
+    _add_run_flag(p_run, "window", "window size of the sliding and static modes", type=int)
+    _add_run_flag(p_run, "chunk", "slide chunk size of the sliding mode", type=int)
+    _add_run_flag(p_run, "eta", "target rejection fraction", type=float)
+    _add_run_flag(p_run, "lambda", "regularization parameter, ignored when --sigma auto", type=float)
+    _add_run_flag(p_run, "sigma", "kernel width, or 'auto' for consistency-based selection")
+    _add_run_flag(p_run, "runs", "repetitions of the stationary mode", type=int)
+    _add_run_flag(p_run, "seed", "", type=int)
     p_run.add_argument("--out", default=".", help="directory for the report JSON and step CSV")
 
     p_bench = sub.add_parser("bench", help="incremental vs full-recompute slide cost")
@@ -124,14 +116,21 @@ def _column(text: str) -> int | str:
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delimiter", type=_delimiter, default=",", help="CSV delimiter (default ',')")
-    p.add_argument("--label-column", type=_column, default="-1",
-                   help="label column index or (with --header) name; default -1, the last column")
+    p.add_argument("--delimiter", type=_delimiter, default=DatasetSchema.delimiter,
+                   help="CSV delimiter (default %(default)r)")
+    p.add_argument("--label-column", type=_column, default=DatasetSchema.label_column,
+                   help="label column index or (with --header) name; default %(default)s, the last column")
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--normalize", action="store_true", help="min-max scale features to [0, 1]")
-    p.add_argument("--target-label", default="1",
+    p.add_argument("--target-label", default=TARGET_LABEL,
                    help="label value of the target rows (+1); every other row is an outlier (-1). "
-                        "Labels compare by value, so 1, 1.0 and 01 all match 1 (default 1)")
+                        "Labels compare by value, so 1, 1.0 and 01 all match 1 (default %(default)s)")
+
+
+def _add_run_flag(p: argparse.ArgumentParser, key: str, text: str, **kw) -> None:
+    # SUPPRESS: the parsed args hold --key only when it was given, so that it overrides --config
+    p.add_argument(f"--{key}", default=argparse.SUPPRESS,
+                   help=f"{text} (default {RUN_DEFAULTS[key]})".lstrip(), **kw)
 
 
 def _read_input(args, path: str) -> Dataset:
@@ -219,48 +218,33 @@ def _cmd_select(args, parser) -> int:
     return 0
 
 
-RUN_DEFAULTS = {"protocol": "stream", **_field_defaults(RunConfig)}
-
-
-def _layered_run_settings(args, parser) -> dict:
+def _run_config(args, parser) -> RunConfig:
     """Built-in defaults, overridden by --config values, overridden by flags."""
     settings = dict(RUN_DEFAULTS)
     if args.config is not None:
         try:
-            doc = _load_fields(args.config, {"lambda": RUN_DEFAULTS["lam"], **RUN_DEFAULTS}, "--config")
+            settings.update(_load_fields(args.config, RUN_DEFAULTS, "--config"))
         except SpecError as exc:
             parser.error(str(exc))
-        if "lambda" in doc:
-            doc["lam"] = doc.pop("lambda")
-        settings.update(doc)
-    for key in RUN_DEFAULTS:
-        if hasattr(args, key):  # SUPPRESS: present only when the flag was given
-            settings[key] = getattr(args, key)
-    return settings
-
-
-def _cmd_run(args, parser) -> int:
-    settings = _layered_run_settings(args, parser)
-    protocol = settings.pop("protocol")
-    if protocol not in PROTOCOLS:
-        parser.error(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    settings.update((key, getattr(args, key)) for key in RUN_DEFAULTS if hasattr(args, key))
     with contextlib.suppress(ValueError):  # "auto", or a word that validate() refuses
         settings["sigma"] = float(settings["sigma"])
+    settings["lam"] = settings.pop("lambda")
     cfg = RunConfig(**settings)
     try:
         cfg.validate()
     except InvalidInputError as exc:
         parser.error(str(exc))
+    return cfg
+
+
+def _cmd_run(args, parser) -> int:
+    cfg = _run_config(args, parser)
     ds = _read_input(args, args.input)
-    if protocol == "stationary":
-        report = run_stationary(ds, cfg)
-        token = "stationary"
-    else:
-        report = run_stream(ds, cfg)
-        token = cfg.mode
+    report = (run_stationary if cfg.mode == "stationary" else run_stream)(ds, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{Path(args.input).stem}_{cfg.framework}_{token}_{cfg.seed}"
+    stem = f"{Path(args.input).stem}_{cfg.framework}_{cfg.mode}_{cfg.seed}"
     report.write_json(out_dir / f"{stem}.json")
     report.write_step_csv(out_dir / f"{stem}.csv")
     print(report.summary_line())

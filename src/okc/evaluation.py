@@ -1,16 +1,17 @@
 """Experiment drivers, metrics and the slide-cost benchmark.
 
-Two protocols are implemented. The stationary protocol shuffles the data per
-run, trains on 70% of the target samples and scores the remaining targets
-plus every outlier, reporting the balanced AUC averaged over runs. The stream
-protocol fills a window with the first W target samples, then walks the rest
-of the stream prequentially: every sample is scored by the model as it stood
-on arrival, and in sliding mode the model slides each time a fresh chunk of
-target samples has accumulated. Scoring never mutates the model, so samples
-between two slides are scored as one batch without changing the semantics.
-Both protocols read a label of value 1 as a target and any other label as
-an outlier (:func:`~okc.streams.to_one_class`), and pool their decisions
-into one kind of :class:`EvalReport`.
+Three run modes (:data:`MODES`) are implemented. The stationary mode
+(:func:`run_stationary`) shuffles the data per run, trains on 70% of the
+target samples and scores the remaining targets plus every outlier,
+reporting the balanced AUC averaged over runs. The static and sliding modes
+(:func:`run_stream`) fill a window with the first W target samples, then walk
+the rest of the stream prequentially: every sample is scored by the model as
+it stood on arrival, and in sliding mode the model slides each time a fresh
+chunk of target samples has accumulated. Scoring never mutates the model, so
+samples between two slides are scored as one batch without changing the
+semantics. Every mode reads a label of value 1 as a target and any other
+label as an outlier (:func:`~okc.streams.to_one_class`), and pools its
+decisions into one kind of :class:`EvalReport`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,19 @@ from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
 from .models import FRAMEWORKS, MODELS, fit_boundary
 from .selection import SelectionConfig, check_seed, select
-from .streams import Dataset, to_one_class
+from .streams import TARGET_LABEL, Dataset, to_one_class
+
+MODES = ("sliding", "static", "stationary")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
 class RunConfig:
     framework: str = "boundary"  # boundary | reconstruction
-    mode: str = "sliding"  # static | sliding
+    mode: str = "sliding"  # one of MODES
     window: int = 150
     chunk: int = 50
     eta: float = 0.05
@@ -47,15 +54,18 @@ class RunConfig:
     def validate(self) -> None:
         if self.framework not in FRAMEWORKS:
             raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {self.framework!r}")
-        if self.mode not in ("static", "sliding"):
-            raise InvalidInputError(f"mode must be 'static' or 'sliding', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("window", "chunk", "runs", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window < 1:
             raise InvalidInputError(f"window must be >= 1, got {self.window}")
         if self.mode == "sliding" and not 0 < self.chunk < self.window:
             raise InvalidInputError(
                 f"sliding mode needs 0 < chunk < window, got chunk={self.chunk}, window={self.window}"
             )
-        if not 0 < self.eta <= 1:
+        if not (isinstance(self.eta, numbers.Real) and 0 < self.eta <= 1):
             raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
@@ -63,7 +73,7 @@ class RunConfig:
         # the range tests are written so that NaN fails them too
         if self.sigma != "auto" and not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < math.inf):
             raise InvalidInputError(f"sigma must be a positive finite number or 'auto', got {self.sigma!r}")
-        if not 0 < self.lam < math.inf:
+        if not (isinstance(self.lam, numbers.Real) and 0 < self.lam < math.inf):
             raise InvalidInputError(f"lambda must be a positive finite number, got {self.lam!r}")
 
     def to_json_dict(self) -> dict:
@@ -112,6 +122,8 @@ def stepwise_accuracy(correct, steps: int = 100) -> np.ndarray:
     """Per-batch accuracy over ``steps`` contiguous near-equal batches of the
     results; the remainder is spread over the leading batches, one extra
     result each."""
+    if steps < 1:
+        raise InvalidInputError(f"steps must be >= 1, got {steps}")
     correct = np.asarray(correct, dtype=float)
     if correct.size < steps:
         raise InsufficientDataError(f"need at least {steps} results, got {correct.size}")
@@ -142,7 +154,7 @@ def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, fl
 
 def _report(actual: np.ndarray, predicted: np.ndarray, timing: dict[str, float], cfg: RunConfig,
             lam: float, sigma: float, run_aucs: list[float] | None = None) -> EvalReport:
-    """The report on the pooled +-1 decisions of a protocol. The AUC is the
+    """The report on the pooled +-1 decisions of a run. The AUC is the
     mean of ``run_aucs`` when given, else the pooled one, None without both
     classes."""
     conf = _confusion(actual, predicted)
@@ -163,18 +175,21 @@ def _report(actual: np.ndarray, predicted: np.ndarray, timing: dict[str, float],
 
 
 def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
-    """Repeated-shuffle protocol on a stationary labeled dataset.
+    """The stationary mode: repeated shuffled splits of a labeled dataset.
 
     Each run trains on 70% of the targets and tests on the remaining targets
     plus all outliers. The report pools accuracy/confusion over runs and
-    averages per-run AUC.
+    averages per-run AUC. Raises InvalidInputError unless ``cfg.mode`` is
+    ``"stationary"``.
     """
     cfg.validate()
-    X, y = dataset.X, to_one_class(dataset, {1})[0].y
+    if cfg.mode != "stationary":
+        raise InvalidInputError(f"run_stationary runs mode 'stationary', got {cfg.mode!r}")
+    X, y = dataset.X, to_one_class(dataset, {TARGET_LABEL})[0].y
     target_idx = np.flatnonzero(y == 1)
     outlier_idx = np.flatnonzero(y == -1)
     if target_idx.size < 2 or outlier_idx.size < 1:
-        raise InsufficientDataError("stationary protocol needs >= 2 targets and >= 1 outlier")
+        raise InsufficientDataError("stationary mode needs >= 2 targets and >= 1 outlier")
     n_train = min(max(1, int(0.7 * target_idx.size)), target_idx.size - 1)
 
     lam = sigma = None
@@ -204,14 +219,17 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
 
 
 def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
-    """Prequential evaluation of a labeled stream, static or sliding.
+    """The stream modes: prequential evaluation of a labeled stream, static or sliding.
 
     The model is initialized on the first ``cfg.window`` target samples. Every
     later sample is scored before it can influence the model; in sliding mode
     the model slides whenever ``cfg.chunk`` new target samples have arrived.
+    Raises InvalidInputError when ``cfg.mode`` is ``"stationary"``.
     """
     cfg.validate()
-    X, y = stream.X, to_one_class(stream, {1})[0].y
+    if cfg.mode == "stationary":
+        raise InvalidInputError("run_stream runs modes 'sliding' and 'static', got 'stationary'")
+    X, y = stream.X, to_one_class(stream, {TARGET_LABEL})[0].y
     target_pos = np.flatnonzero(y == 1)
     if target_pos.size < cfg.window:
         raise InsufficientDataError(
@@ -248,7 +266,7 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
             chunk_pos = target_pos[lo : lo + cfg.chunk]
             flush(int(chunk_pos[-1]) + 1)  # score the chunk-completing sample pre-slide
             t = time.perf_counter()
-            model.forget(cfg.chunk)
+            model.state.retract(cfg.chunk)
             timing["forget_s"] += time.perf_counter() - t
             t = time.perf_counter()
             model.absorb(X[chunk_pos])
@@ -286,8 +304,7 @@ def slide_benchmark(window: int = 1000, chunk: int = 50, dims: int = 2,
     inc_times = []
     for c in chunks:
         t0 = time.perf_counter()
-        model.forget(chunk)
-        model.absorb(c)
+        model.slide(c)
         inc_times.append(time.perf_counter() - t0)
 
     win = base.copy()

@@ -38,6 +38,7 @@ the window and inverts it densely.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -207,6 +208,8 @@ class RegGramState:
 
     def retract(self, f: int) -> "RegGramState":
         """Forget the oldest ``f`` samples, downdating ``p``."""
+        if not isinstance(f, numbers.Integral) or isinstance(f, bool):
+            raise InvalidInputError(f"retract takes a whole number of samples, got {f!r}")
         if not 1 <= f < self.size:
             raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
         g, _ = _inverse_cholesky(self.p[:f, :f], "leading inverse block")

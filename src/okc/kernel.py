@@ -17,6 +17,7 @@ diagonal is exactly 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
+        # the range test is written so that NaN fails it too
+        if not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < np.inf):
             raise InvalidInputError(f"sigma must be a positive finite real, got {self.sigma!r}")
 
 

@@ -117,10 +117,6 @@ class _WindowedModel:
         """+1 where theta - score >= 0, else -1 (ties accept)."""
         return np.where(np.asarray(scores) <= self.theta, 1, -1)
 
-    def forget(self, f: int) -> None:
-        """Drop the oldest f samples without refitting (half of a slide)."""
-        self.state.retract(f)
-
     def absorb(self, chunk) -> None:
         """Append a chunk and refit weights, training scores and threshold."""
         self.state.extend(chunk)
@@ -135,7 +131,7 @@ class _WindowedModel:
         # the mutators assign new arrays, never writing in place: the references undo a forget
         window, p = self.state.window, self.state.p
         try:
-            self.forget(chunk.shape[0])
+            self.state.retract(chunk.shape[0])
             self.absorb(chunk)
         except OkcError:
             self.state.window, self.state.p = window, p

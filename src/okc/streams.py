@@ -1,7 +1,7 @@
 """Synthetic stream generation, CSV ingestion and one-class relabeling.
 
 Every producer returns one columnar :class:`Dataset`: features ``X`` in
-stream order and labels ``y``, which the protocols in :mod:`okc.evaluation`
+stream order and labels ``y``, which the run modes in :mod:`okc.evaluation`
 read directly.
 
 Generators cover four drift families: a stationary ring, a unimodal Gaussian
@@ -139,6 +139,8 @@ def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> Dataset:
     """``n`` target samples drawn uniformly from the 2-D annulus."""
     if not 0.0 < r_inner < r_outer:
         raise SpecError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
+    if n < 0:
+        raise SpecError(f"need n >= 0, got {n}")
     rng = np.random.default_rng(seed)
     radius = np.sqrt(rng.random(n) * (r_outer**2 - r_inner**2) + r_inner**2)
     angle = rng.random(n) * 2.0 * math.pi
@@ -381,6 +383,9 @@ def minmax_normalize(ds: Dataset) -> Dataset:
     lo, hi = ds.X.min(axis=0), ds.X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     return Dataset((ds.X - lo) / span, ds.y)
+
+
+TARGET_LABEL = 1  # the label read as the target class unless another is named
 
 
 def to_one_class(ds: Dataset, target_labels) -> tuple[Dataset, dict[str, int]]:

@@ -244,7 +244,7 @@ def test_criterion_9_breast_cancer_reproduction():
     rows = [cells for cells in rows if len(cells) >= 11 and "?" not in cells]
     X = np.array([[float(c) for c in cells[1:10]] for cells in rows])
     y = np.array([1 if cells[10] == "2" else -1 for cells in rows])
-    cfg = RunConfig(framework="boundary", sigma="auto", eta=0.05, runs=20, seed=0)
+    cfg = RunConfig(framework="boundary", mode="stationary", sigma="auto", eta=0.05, runs=20, seed=0)
     rep = run_stationary(Dataset(X, y), cfg)
     report(
         9,

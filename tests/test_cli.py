@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import okc.kernel
-from okc import DatasetSchema, load_csv, to_one_class
-from okc.cli import main
+import okc.cli
+from okc import DatasetSchema, RunConfig, SelectionConfig, SelectionResult, load_csv, to_one_class
+from okc.cli import _build_parser, _run_config, main
 
 RING_SPEC = {"family": "ring", "total": 300, "seed": 4, "r_inner": 1.0, "r_outer": 2.0}
 DRIFT_SPEC = {
@@ -203,12 +204,13 @@ def test_run_stationary_protocol(tmp_path, capsys):
         "class_offset": [10.0, 0.0], "seed": 5,
     })
     code, out, err = run_cli([
-        "run", str(spec), "--protocol", "stationary", "--runs", "3",
+        "run", str(spec), "--mode", "stationary", "--runs", "3", "--window", "10",
         "--sigma", "2.0", "--lambda", "1.0", "--out", str(tmp_path),
     ], capsys)
-    assert code == 0
+    assert code == 0, err  # the window and chunk settings are the stream modes'
     report = json.loads((tmp_path / "spec_boundary_stationary_0.json").read_text())
     assert len(report["run_aucs"]) == 3
+    assert report["config"]["mode"] == "stationary"
 
 
 def test_run_stationary_on_zero_one_labels_without_target_label(tmp_path, capsys):
@@ -217,11 +219,11 @@ def test_run_stationary_on_zero_one_labels_without_target_label(tmp_path, capsys
     plus_minus, zero_one = tmp_path / "pm.csv", tmp_path / "zo.csv"
     assert run_cli(["gen", str(spec), str(plus_minus)], capsys)[0] == 0
     zero_one.write_text(plus_minus.read_text().replace(",-1\n", ",0\n"))
-    code, out, err = run_cli(["run", str(zero_one), "--header", "--protocol", "stationary", "--sigma", "1",
+    code, out, err = run_cli(["run", str(zero_one), "--header", "--mode", "stationary", "--sigma", "1",
                               "--out", str(tmp_path)], capsys)
     assert code == 0, err
     report = json.loads((tmp_path / "zo_boundary_stationary_0.json").read_text())
-    assert run_cli(["run", str(plus_minus), "--header", "--protocol", "stationary", "--sigma", "1",
+    assert run_cli(["run", str(plus_minus), "--header", "--mode", "stationary", "--sigma", "1",
                     "--out", str(tmp_path)], capsys)[0] == 0
     expected = json.loads((tmp_path / "pm_boundary_stationary_0.json").read_text())
     assert report["confusion"] == expected["confusion"]
@@ -243,7 +245,7 @@ def label_texts(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["run", "--window", "40", "--chunk", "10", "--sigma", "1"],
-    ["run", "--protocol", "stationary", "--sigma", "1"],
+    ["run", "--mode", "stationary", "--sigma", "1"],
     ["select"],
 ])
 def test_target_label_one_matches_every_text_of_label_one(label_texts, tmp_path, capsys, command):
@@ -373,17 +375,49 @@ def test_help_documents_experiment_defaults(capsys):
     assert "17" in text and "20" in text  # grid sizes
 
 
+def test_run_and_select_without_flags_parse_to_library_defaults(tmp_path, capsys, monkeypatch):
+    parser = _build_parser()
+    assert _run_config(parser.parse_args(["run", "d.csv"]), parser) == RunConfig()
+    calls = []
+
+    def fake_select(X, framework, cfg, seed):
+        calls.append((framework, cfg, seed))
+        return SelectionResult(1.0, 1.0, 0.0, 0.0, True)
+
+    monkeypatch.setattr(okc.cli, "select", fake_select)
+    spec = write_spec(tmp_path, RING_SPEC)
+    assert run_cli(["select", str(spec)], capsys)[0] == 0
+    assert calls == [(RunConfig().framework, SelectionConfig(), RunConfig().seed)]
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--warp-speed"])
     assert exc.value.code == 2
 
 
-def test_console_entry_point_runs():
+def python_m_okc(*args):
+    """``python -m okc.cli args`` in a child process, importing okc from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "okc.cli", "version"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, "-m", "okc.cli", *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = python_m_okc("version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("mode", ["sliding", "static", "stationary"])
+def test_python_m_okc_cli_run_smoke(tmp_path, mode):
+    spec = write_spec(tmp_path, {**DRIFT_SPEC, "total": 1000})
+    proc = python_m_okc("run", str(spec), "--mode", mode, "--sigma", "2.0", "--lambda", "10",
+                        "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0], parse_constant=_refuse_constant)
+    report = json.loads((tmp_path / f"spec_boundary_{mode}_0.json").read_text())
+    assert report["config"]["mode"] == mode
+    assert (tmp_path / f"spec_boundary_{mode}_0.csv").exists()

@@ -34,7 +34,9 @@ def usage_error(argv, capsys) -> str:
     ('{"lambda": "5"}', "'lambda'"),
     ('{"sigma": "wide"}', "'sigma'"),
     ('{"framework": 3}', "'framework'"),
-    ('{"protocol": "statinary"}', "'statinary'"),
+    ('{"mode": "statinary"}', "'statinary'"),
+    ('{"lam": 10}', "field(s): lam"),
+    ('{"protocol": "stationary"}', "field(s): protocol"),
 ])
 def test_run_config_wrong_type_is_a_usage_error(tmp_path, capsys, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))
@@ -47,12 +49,19 @@ def test_run_config_wrong_type_is_a_usage_error(tmp_path, capsys, doc, named):
 def test_run_config_accepts_numbers_for_real_fields(tmp_path, capsys):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))
     cfg = write(tmp_path, "run.json", json.dumps({"eta": 0, "lambda": 10, "sigma": 1, "window": 60,
-                                                  "chunk": 20, "lam": 10}))
+                                                  "chunk": 20}))
     assert main(["run", spec, "--config", cfg, "--eta", "0.1", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spec_boundary_sliding_0.json").read_text())
     assert report["config"]["lambda"] == 10
     assert report["config"]["sigma"] == 1.0
     assert report["config"]["eta"] == 0.1
+
+
+def test_protocol_flag_is_a_usage_error(tmp_path, capsys):
+    # --mode alone chooses the sliding, static or stationary mode
+    spec = write(tmp_path, "spec.json", json.dumps(SPEC))
+    err = usage_error(["run", spec, "--protocol", "stationary"], capsys)
+    assert "unrecognized arguments: --protocol" in err
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -117,7 +126,7 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     ([], {"lambda": 1e400}, "lambda must be a positive finite number"),
     (["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["--sigma", "auto", "--seed", "-1"], None, "seed must be >= 0, got -1"),
-    (["--protocol", "stationary", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["--mode", "stationary", "--seed", "-1"], None, "seed must be >= 0, got -1"),
 ])
 def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))

@@ -10,12 +10,15 @@ from okc import (
     InsufficientDataError,
     InvalidInputError,
     KernelSpec,
+    OkcError,
     RegGramState,
     RunConfig,
     SelectionConfig,
+    SpecError,
     UndefinedMetricError,
     auc,
     fit_boundary,
+    gen_ring,
     gen_stream,
     run_stationary,
     run_stream,
@@ -121,6 +124,7 @@ def test_runconfig_validation():
     with pytest.raises(InvalidInputError):
         RunConfig(sigma=-1.0).validate()
     RunConfig(mode="static", window=50, chunk=50).validate()  # chunk unused in static
+    RunConfig(mode="stationary", window=10, chunk=50).validate()  # and in stationary
 
 
 @pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": "wide"},
@@ -128,6 +132,31 @@ def test_runconfig_validation():
 def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
     with pytest.raises(InvalidInputError):
         RunConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gen_ring(-1, 1, 2), SpecError),
+    (lambda: stepwise_accuracy(np.ones(10), 0), InvalidInputError),
+    (lambda: KernelSpec("a"), InvalidInputError),
+    (lambda: RegGramState(np.eye(3), 1.0, KernelSpec()).retract(2.5), InvalidInputError),
+    (lambda: RunConfig(window="a").validate(), InvalidInputError),
+    (lambda: RunConfig(eta="x").validate(), InvalidInputError),
+    (lambda: RunConfig(lam="x").validate(), InvalidInputError),
+], ids=["gen_ring-n", "stepwise_accuracy-steps", "KernelSpec-sigma", "retract-f", "RunConfig-window",
+        "RunConfig-eta", "RunConfig-lam"])
+def test_malformed_argument_raises_an_okc_error(call, error):
+    assert issubclass(error, OkcError)
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("runner, mode", [(run_stream, "stationary"), (run_stationary, "sliding"),
+                                          (run_stationary, "static")])
+def test_runner_refuses_the_other_modes(runner, mode):
+    # so that a report's config.mode always names what ran
+    data = two_blob_dataset(n=300, seed=1)
+    with pytest.raises(InvalidInputError, match=f"got '{mode}'"):
+        runner(data, RunConfig(mode=mode, window=100, sigma=1.0))
 
 
 def test_negative_seed_is_refused_before_any_random_draw():
@@ -161,14 +190,14 @@ def two_blob_dataset(n=400, separation=10.0, seed=0):
 def test_stationary_separable_blobs_high_auc():
     # 10-sigma separation with a loose rejection quantile: near-perfect AUC
     data = two_blob_dataset(n=800)
-    cfg = RunConfig(framework="boundary", sigma=3.0, lam=1.0, eta=0.01, runs=5, seed=0)
+    cfg = RunConfig(framework="boundary", mode="stationary", sigma=3.0, lam=1.0, eta=0.01, runs=5, seed=0)
     report = run_stationary(data, cfg)
     assert report.auc >= 99.0
 
 
 def test_stationary_deterministic():
     data = two_blob_dataset(seed=3)
-    cfg = RunConfig(framework="boundary", sigma=1.5, lam=10.0, runs=2, seed=5)
+    cfg = RunConfig(framework="boundary", mode="stationary", sigma=1.5, lam=10.0, runs=2, seed=5)
     a, b = run_stationary(data, cfg), run_stationary(data, cfg)
     assert a.overall_accuracy == b.overall_accuracy
     assert a.auc == b.auc
@@ -178,7 +207,7 @@ def test_stationary_deterministic():
 
 def test_stationary_report_invariants():
     data = two_blob_dataset(seed=4)
-    cfg = RunConfig(framework="reconstruction", sigma=1.5, lam=10.0, runs=3, seed=1)
+    cfg = RunConfig(framework="reconstruction", mode="stationary", sigma=1.5, lam=10.0, runs=3, seed=1)
     rep = run_stationary(data, cfg)
     c = rep.confusion
     total = c["tp"] + c["fn"] + c["tn"] + c["fp"]
@@ -198,7 +227,7 @@ def _without_timing(report):
 
 
 @pytest.mark.parametrize("protocol, cfg", [
-    (run_stationary, RunConfig(sigma=1.5, lam=10.0, runs=3, seed=1)),
+    (run_stationary, RunConfig(mode="stationary", sigma=1.5, lam=10.0, runs=3, seed=1)),
     (run_stream, RunConfig(window=100, chunk=25, sigma=1.0, lam=10.0)),
     (run_stream, RunConfig(window=100, mode="static", sigma=1.0, lam=10.0)),
 ], ids=["stationary", "stream-sliding", "stream-static"])
@@ -213,7 +242,7 @@ def test_zero_one_labels_read_as_plus_minus_one(protocol, cfg):
 
 def test_stationary_single_run_auc_matches_confusion():
     data = two_blob_dataset(seed=6)
-    cfg = RunConfig(framework="boundary", sigma=1.5, lam=10.0, runs=1, seed=2)
+    cfg = RunConfig(framework="boundary", mode="stationary", sigma=1.5, lam=10.0, runs=1, seed=2)
     rep = run_stationary(data, cfg)
     assert rep.auc == auc(rep.confusion)
 
@@ -221,12 +250,12 @@ def test_stationary_single_run_auc_matches_confusion():
 def test_stationary_needs_both_classes():
     data = Dataset(np.zeros((50, 2)), np.ones(50, dtype=int))
     with pytest.raises(InsufficientDataError):
-        run_stationary(data, RunConfig(sigma=1.0))
+        run_stationary(data, RunConfig(mode="stationary", sigma=1.0))
 
 
 def test_stationary_auto_sigma_resolves_once():
     data = two_blob_dataset(n=200, seed=8)
-    cfg = RunConfig(framework="boundary", sigma="auto", runs=2, seed=0)
+    cfg = RunConfig(framework="boundary", mode="stationary", sigma="auto", runs=2, seed=0)
     rep = run_stationary(data, cfg)
     assert rep.config["resolved_sigma"] > 0
     assert rep.config["resolved_lambda"] > 0
