@@ -14,23 +14,32 @@ and malformed specs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-from .errors import InvalidInputError, OkcError, SpecError
+from .errors import InvalidInputError, OkcError, SpecError, check_int
 from .evaluation import MODES, RunConfig, run_stationary, run_stream, slide_benchmark
 from .models import FRAMEWORKS
-from .selection import SelectionConfig, check_seed, select
+from .selection import SelectionConfig, select
 from .streams import (TARGET_LABEL, Dataset, DatasetSchema, DriftStreamSpec, gen_stream, load_csv,
                       minmax_normalize, save_csv, to_one_class)
 
+
+def _defaults(func) -> dict:
+    """The default of each parameter of ``func`` that has one."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()
+            if p.default is not p.empty}
+
+
 # the report's config keys, which --config takes: lambda names the field lam
 RUN_DEFAULTS = RunConfig().to_json_dict()
+SELECT_DEFAULTS = _defaults(select)
+BENCH_DEFAULTS = _defaults(slide_benchmark)
 
 
 def _package_version() -> str:
@@ -59,14 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help=grid_doc, description=grid_doc)
     p_sel.add_argument("data", help="CSV dataset, or a stream spec JSON to generate from")
     _add_schema_flags(p_sel)
-    p_sel.add_argument("--framework", choices=FRAMEWORKS, default=RunConfig.framework)
+    p_sel.add_argument("--framework", choices=FRAMEWORKS, default=SELECT_DEFAULTS["framework"])
     p_sel.add_argument("--folds", type=int, default=SelectionConfig.folds,
                        help="cross-validation folds (default %(default)s)")
     p_sel.add_argument("--sigma-thr", type=float, default=SelectionConfig.sigma_thr,
                        help="consistency threshold width in std devs, finite and >= 0 (default %(default)s)")
     p_sel.add_argument("--eta", type=float, default=SelectionConfig.eta,
                        help="target rejection fraction (default %(default)s)")
-    p_sel.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_sel.add_argument("--seed", type=int, default=SELECT_DEFAULTS["seed"])
 
     p_run = sub.add_parser(
         "run",
@@ -83,17 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flag(p_run, "chunk", "slide chunk size of the sliding mode", type=int)
     _add_run_flag(p_run, "eta", "target rejection fraction", type=float)
     _add_run_flag(p_run, "lambda", "regularization parameter, ignored when --sigma auto", type=float)
-    _add_run_flag(p_run, "sigma", "kernel width, or 'auto' for consistency-based selection")
+    _add_run_flag(p_run, "sigma", "kernel width, or 'auto' for consistency-based selection", type=_sigma)
     _add_run_flag(p_run, "runs", "repetitions of the stationary mode", type=int)
     _add_run_flag(p_run, "seed", "", type=int)
     p_run.add_argument("--out", default=".", help="directory for the report JSON and step CSV")
 
     p_bench = sub.add_parser("bench", help="incremental vs full-recompute slide cost")
-    p_bench.add_argument("--window", type=int, default=1000)
-    p_bench.add_argument("--chunk", type=int, default=50)
-    p_bench.add_argument("--dims", type=int, default=2)
-    p_bench.add_argument("--slides", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
+    for key, default in BENCH_DEFAULTS.items():
+        p_bench.add_argument(f"--{key}", type=int, default=default, help="(default %(default)s)")
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -105,6 +111,16 @@ def _delimiter(text: str) -> str:
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"unusable CSV delimiter {text!r}: {exc}") from None
     return text
+
+
+def _sigma(text: str) -> float | str:
+    """'auto', or else a number, whose range RunConfig.validate checks."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
 
 
 def _column(text: str) -> int | str:
@@ -146,33 +162,9 @@ def _read_input(args, path: str) -> Dataset:
     return to_one_class(ds, {args.target_label})[0]
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _type_mismatch(default, value) -> str | None:
-    """What ``value`` should be to match the type of ``default``, or None if it does."""
-    if default == "auto":
-        return None if value == "auto" or _is_number(value) else "a number or 'auto'"
-    if isinstance(default, str):
-        return None if isinstance(value, str) else "a string"
-    if isinstance(default, int):
-        return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
-    if isinstance(default, float):
-        return None if _is_number(value) else "a number"
-    # a None default is an optional vector
-    if value is None or (isinstance(value, list) and all(map(_is_number, value))):
-        return None
-    return "a list of numbers or null"
-
-
-def _load_fields(path: str, defaults: dict, what: str) -> dict:
-    """Read a JSON object whose fields are keys of ``defaults``, each value
-    typed like its default. Raises SpecError naming the offending field."""
+def _load_fields(path: str, fields, what: str) -> dict:
+    """Read a JSON object whose keys are all in ``fields``; the object that
+    takes them checks their values. Raises SpecError naming an unknown key."""
     try:
         doc = json.loads(Path(path).read_text())
     except UnicodeDecodeError as exc:
@@ -181,20 +173,16 @@ def _load_fields(path: str, defaults: dict, what: str) -> dict:
         raise SpecError(f"malformed {what} JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecError(f"{what} is not a JSON object")
-    unknown = sorted(set(doc) - set(defaults))
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise SpecError(f"unknown {what} field(s): {', '.join(unknown)}")
-    for name, value in doc.items():
-        expected = _type_mismatch(defaults[name], value)
-        if expected is not None:
-            raise SpecError(f"{what} field {name!r} must be {expected}, got {value!r}")
     return doc
 
 
 def _load_spec(path: str) -> DriftStreamSpec:
-    spec = DriftStreamSpec(**_load_fields(path, _field_defaults(DriftStreamSpec), "spec"))
-    spec.validate()
-    return spec
+    """The spec of a JSON file; gen_stream validates it."""
+    fields = [f.name for f in dataclasses.fields(DriftStreamSpec)]
+    return DriftStreamSpec(**_load_fields(path, fields, "spec"))
 
 
 def _cmd_gen(args) -> int:
@@ -209,7 +197,7 @@ def _cmd_select(args, parser) -> int:
     cfg = SelectionConfig(folds=args.folds, sigma_thr=args.sigma_thr, eta=args.eta)
     try:
         cfg.validate()
-        check_seed(args.seed)
+        check_int(args.seed, "seed", 0)
     except InvalidInputError as exc:
         parser.error(str(exc))
     ds = _read_input(args, args.data)
@@ -227,8 +215,6 @@ def _run_config(args, parser) -> RunConfig:
         except SpecError as exc:
             parser.error(str(exc))
     settings.update((key, getattr(args, key)) for key in RUN_DEFAULTS if hasattr(args, key))
-    with contextlib.suppress(ValueError):  # "auto", or a word that validate() refuses
-        settings["sigma"] = float(settings["sigma"])
     settings["lam"] = settings.pop("lambda")
     cfg = RunConfig(**settings)
     try:
@@ -253,8 +239,7 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_bench(args, parser) -> int:
     try:
-        result = slide_benchmark(window=args.window, chunk=args.chunk, dims=args.dims,
-                                 slides=args.slides, seed=args.seed)
+        result = slide_benchmark(**{key: getattr(args, key) for key in BENCH_DEFAULTS})
     except InvalidInputError as exc:
         parser.error(str(exc))
     print(json.dumps(result))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules that check a
+setting and raise them."""
+
+import math
+import numbers
 
 
 class OkcError(Exception):
@@ -51,3 +55,40 @@ class SchemaError(OkcError):
 
 class EmptyTargetError(OkcError):
     """Relabeling produced no target-class samples."""
+
+
+# The rules every setting is checked by. Each returns the value it accepts and
+# raises ``error`` naming the setting otherwise. A bool is not a number, and
+# NumPy integer and float scalars are numbers.
+
+
+def check_int(value, name: str, minimum: float = -math.inf, *, error: type[OkcError] = InvalidInputError) -> int:
+    """``value`` as an int, if it is a whole number >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf, *, low_open: bool = True,
+               high_open: bool = True, error: type[OkcError] = InvalidInputError) -> float:
+    """``value`` as a float, if it is a real number between ``low`` and
+    ``high``, each bound excluded unless said closed. The default bounds are
+    infinite and open, so the value is finite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    # written so that NaN fails both tests
+    if not ((low < value if low_open else low <= value) and (value < high if high_open else value <= high)):
+        interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+        raise error(f"{name} must lie in {interval}, got {value!r}")
+    return float(value)
+
+
+def check_choice(value, name: str, choices: tuple, *, error: type[OkcError] = InvalidInputError):
+    """``value``, if it equals one of ``choices``. Compared by ``==``, so an
+    unhashable value is refused too; an array, whose ``==`` is elementwise, is
+    never a choice."""
+    if not any((choice == value) is True for choice in choices):
+        raise error(f"{name} must be one of {choices}, got {value!r}")
+    return value

@@ -17,26 +17,20 @@ decisions into one kind of :class:`EvalReport`.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, UndefinedMetricError
+from .errors import InsufficientDataError, InvalidInputError, UndefinedMetricError, check_choice, check_int, check_real
 from .gram_window import RegGramState, direct_inverse_oracle
 from .kernel import KernelSpec
-from .models import FRAMEWORKS, MODELS, fit_boundary
-from .selection import SelectionConfig, check_seed, select
+from .models import FRAMEWORKS, MODELS, check_eta, fit_boundary
+from .selection import SelectionConfig, select
 from .streams import TARGET_LABEL, Dataset, to_one_class
 
 MODES = ("sliding", "static", "stationary")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -52,29 +46,20 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.framework not in FRAMEWORKS:
-            raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {self.framework!r}")
-        if self.mode not in MODES:
-            raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("window", "chunk", "runs", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.window < 1:
-            raise InvalidInputError(f"window must be >= 1, got {self.window}")
+        check_choice(self.framework, "framework", FRAMEWORKS)
+        check_choice(self.mode, "mode", MODES)
+        check_int(self.window, "window", 1)
+        check_int(self.chunk, "chunk")
         if self.mode == "sliding" and not 0 < self.chunk < self.window:
             raise InvalidInputError(
                 f"sliding mode needs 0 < chunk < window, got chunk={self.chunk}, window={self.window}"
             )
-        if not (isinstance(self.eta, numbers.Real) and 0 < self.eta <= 1):
-            raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
-        if self.runs < 1:
-            raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
-        check_seed(self.seed)
-        # the range tests are written so that NaN fails them too
-        if self.sigma != "auto" and not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < math.inf):
-            raise InvalidInputError(f"sigma must be a positive finite number or 'auto', got {self.sigma!r}")
-        if not (isinstance(self.lam, numbers.Real) and 0 < self.lam < math.inf):
-            raise InvalidInputError(f"lambda must be a positive finite number, got {self.lam!r}")
+        check_eta(self.eta)
+        check_int(self.runs, "runs", 1)
+        check_int(self.seed, "seed", 0)
+        if not (isinstance(self.sigma, str) and self.sigma == "auto"):
+            check_real(self.sigma, "sigma", 0)
+        check_real(self.lam, "lambda", 0)
 
     def to_json_dict(self) -> dict:
         return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
@@ -122,8 +107,7 @@ def stepwise_accuracy(correct, steps: int = 100) -> np.ndarray:
     """Per-batch accuracy over ``steps`` contiguous near-equal batches of the
     results; the remainder is spread over the leading batches, one extra
     result each."""
-    if steps < 1:
-        raise InvalidInputError(f"steps must be >= 1, got {steps}")
+    check_int(steps, "steps", 1)
     correct = np.asarray(correct, dtype=float)
     if correct.size < steps:
         raise InsufficientDataError(f"need at least {steps} results, got {correct.size}")
@@ -288,13 +272,11 @@ def slide_benchmark(window: int = 1000, chunk: int = 50, dims: int = 2,
     recompute side times rebuilding the regularized Gram of the slid
     window and inverting it densely. Both process identical window contents.
     """
-    if slides < 1:
-        raise InvalidInputError(f"slides must be >= 1, got {slides}")
-    if not 0 < chunk < window:
+    for name, value in (("slides", slides), ("window", window), ("chunk", chunk), ("dims", dims)):
+        check_int(value, name, 1)
+    check_int(seed, "seed", 0)
+    if chunk >= window:
         raise InvalidInputError(f"need 0 < chunk < window, got chunk={chunk}, window={window}")
-    if dims < 1:
-        raise InvalidInputError(f"dims must be >= 1, got {dims}")
-    check_seed(seed)
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((window, dims))
     chunks = [rng.standard_normal((chunk, dims)) for _ in range(slides)]

@@ -38,12 +38,11 @@ the window and inverts it densely.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidInputError, WindowUnderflowError
+from .errors import IllConditionedError, InvalidInputError, WindowUnderflowError, check_int, check_real
 from .kernel import KernelSpec, as_samples, gram
 
 # Reject an inversion when norm1(A) * norm1(A^-1) exceeds this.
@@ -157,12 +156,10 @@ class RegGramState:
     """
 
     def __init__(self, X0, lam: float, kernel: KernelSpec):
-        if lam <= 0 or not np.isfinite(lam):
-            raise InvalidInputError(f"lam must be a positive finite real, got {lam!r}")
+        self.lam = check_real(lam, "lambda", 0)
         X0 = as_samples(X0)
         if X0.shape[0] < 1:
             raise InvalidInputError("initial window must contain at least one sample")
-        self.lam = float(lam)
         self.kernel = kernel
         self.window = X0.copy()
         # retract reads only the upper blocks of p, as if p were symmetric; the
@@ -208,8 +205,7 @@ class RegGramState:
 
     def retract(self, f: int) -> "RegGramState":
         """Forget the oldest ``f`` samples, downdating ``p``."""
-        if not isinstance(f, numbers.Integral) or isinstance(f, bool):
-            raise InvalidInputError(f"retract takes a whole number of samples, got {f!r}")
+        check_int(f, "f")
         if not 1 <= f < self.size:
             raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
         g, _ = _inverse_cholesky(self.p[:f, :f], "leading inverse block")

@@ -17,12 +17,11 @@ diagonal is exactly 1.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DimensionError, InvalidInputError
+from .errors import DegenerateDataError, DimensionError, InvalidInputError, check_real
 
 RBF = "rbf"  # the kernel's name in model snapshots
 # entries per row block of _squared_distances (512 KiB): a 1000 x 50 slide call is one block
@@ -42,9 +41,7 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        # the range test is written so that NaN fails it too
-        if not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < np.inf):
-            raise InvalidInputError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        check_real(self.sigma, "sigma", 0)
 
 
 def as_samples(X, name: str = "X") -> np.ndarray:

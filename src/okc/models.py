@@ -34,11 +34,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, OkcError
+from .errors import InvalidInputError, OkcError, check_real
 from .gram_window import RegGramState
 from .kernel import RBF, KernelSpec, as_samples, gram
 
 SNAPSHOT_FORMAT_VERSION = 1
+
+
+def check_eta(eta) -> float:
+    """``eta``, the fraction of training scores a model rejects, as a float in (0, 1]."""
+    return check_real(eta, "eta", 0, 1, high_open=False)
 
 
 def rejection_threshold(distances, eta: float) -> float | np.ndarray:
@@ -49,8 +54,7 @@ def rejection_threshold(distances, eta: float) -> float | np.ndarray:
     training sample is rejected. A vector gives a float; an (N, L) matrix
     gives the L thresholds of its columns.
     """
-    if not 0.0 < eta <= 1.0:
-        raise InvalidInputError(f"eta must lie in (0, 1], got {eta!r}")
+    eta = check_eta(eta)
     d = np.asarray(distances, dtype=float)
     if d.ndim not in (1, 2) or d.size == 0:
         raise InvalidInputError("distances must be a non-empty vector or matrix")
@@ -94,9 +98,7 @@ class _WindowedModel:
 
     def __init__(self, state: RegGramState, eta: float):
         self.state = state
-        self.eta = float(eta)
-        self.train_distances: np.ndarray = np.empty(0)
-        self.theta: float = 0.0
+        self.eta = check_eta(eta)
         self._refit()
 
     def _training_scores(self) -> np.ndarray:
@@ -201,16 +203,6 @@ def to_snapshot(model: _WindowedModel) -> dict:
 _SNAPSHOT_KEYS = ("framework", "kernel", "lambda", "eta", "theta", "window")
 
 
-def _finite(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"snapshot {name} must be a number, got {value!r}") from None
-    if not np.isfinite(x):
-        raise InvalidInputError(f"snapshot {name} must be finite, got {value!r}")
-    return x
-
-
 def _snapshot_window(rows) -> np.ndarray:
     try:
         window = np.asarray(rows, dtype=float)
@@ -230,10 +222,10 @@ def from_snapshot(doc: dict) -> _WindowedModel:
     ------
     InvalidInputError
         If the document is not a version-1 snapshot: a key is missing, the
-        kernel is not an object, the window is ragged, empty or non-finite, a
-        scalar is not a finite number, the framework or kernel kind is unknown,
+        kernel is not an object, the window is ragged, empty or non-finite,
+        theta is not a finite number, the framework or kernel kind is unknown,
         or an older document's ``target_value`` is not 1 (its theta has
-        another scale).
+        another scale); or if the constructors refuse sigma, lambda or eta.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"snapshot must be a JSON object, got {type(doc).__name__}")
@@ -252,14 +244,9 @@ def from_snapshot(doc: dict) -> _WindowedModel:
         raise InvalidInputError(f"snapshot kernel must be an object with kind and sigma, got {spec!r}")
     if spec["kind"] != RBF:
         raise InvalidInputError(f"unsupported kernel kind: {spec['kind']!r}")
-    kernel = KernelSpec(_finite(spec["sigma"], "kernel sigma"))
-    lam = _finite(doc["lambda"], "lambda")
-    if lam <= 0:
-        raise InvalidInputError(f"snapshot lambda must be positive, got {lam!r}")
-    eta = _finite(doc["eta"], "eta")
-    theta = _finite(doc["theta"], "theta")
-    state = RegGramState(_snapshot_window(doc["window"]), lam, kernel)
-    model = MODELS[doc["framework"]](state, eta)
+    theta = check_real(doc["theta"], "theta")
+    state = RegGramState(_snapshot_window(doc["window"]), doc["lambda"], KernelSpec(spec["sigma"]))
+    model = MODELS[doc["framework"]](state, doc["eta"])
     # the stored threshold is authoritative for the snapshot
     model.theta = theta
     return model

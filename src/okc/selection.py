@@ -64,10 +64,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError
+from .errors import (IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError,
+                     check_choice, check_int, check_real)
 from .gram_window import CONDITION_LIMIT, condition_1
 from .kernel import KernelSpec, as_samples, gram, pairwise_distance_range
-from .models import FRAMEWORKS, MODELS, first_copies, rejection_threshold
+from .models import MODELS, check_eta, first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
 # (okcbench/tracing.py) wraps the fit_boundary binding of this module by name.
@@ -85,8 +86,7 @@ def sigma_grid(X, count: int = 20) -> list[float]:
 
     Collapses to a single value if all pairwise distances are equal.
     """
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
+    check_int(count, "count", 1)
     dmin, dmax = pairwise_distance_range(X)
     if dmin == dmax or count == 1:
         return [dmin]
@@ -100,12 +100,9 @@ def consistency_threshold(M: int, eta: float, sigma_thr: float) -> float:
     plus ``sigma_thr`` standard deviations of the rejection count, per
     validation sample.
     """
-    if M < 1:
-        raise InvalidInputError(f"M must be >= 1, got {M}")
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidInputError(f"eta must lie in [0, 1], got {eta!r}")
-    if not 0 <= sigma_thr < math.inf:  # NaN fails this test too
-        raise InvalidInputError(f"sigma_thr must be >= 0, got {sigma_thr!r} (finite values only)")
+    check_int(M, "M", 1)
+    eta = check_eta(eta)
+    sigma_thr = check_real(sigma_thr, "sigma_thr", 0, low_open=False)
     return eta + sigma_thr * math.sqrt(eta * (1.0 - eta) / M)
 
 
@@ -118,17 +115,17 @@ class SelectionConfig:
     sigmas: list[float] | None = None  # None: derive from the data via sigma_grid
 
     def validate(self) -> None:
-        if self.folds < 2:
-            raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
-        if not 0 < self.eta <= 1:
-            raise InvalidInputError(f"eta must lie in (0, 1], got {self.eta!r}")
-        # the range tests are written so that NaN fails them too
-        if not 0 <= self.sigma_thr < math.inf:
-            raise InvalidInputError(f"sigma_thr must be >= 0, got {self.sigma_thr!r} (finite values only)")
-        if not self.lambdas or any(not 0 < l < math.inf for l in self.lambdas):
-            raise InvalidInputError("lambdas must be a non-empty list of positive finite reals")
-        if self.sigmas is not None and (not self.sigmas or any(not 0 < s < math.inf for s in self.sigmas)):
-            raise InvalidInputError("sigmas must be a non-empty list of positive finite reals")
+        check_int(self.folds, "folds", 2)
+        check_eta(self.eta)
+        check_real(self.sigma_thr, "sigma_thr", 0, low_open=False)
+        for name in ("lambdas", "sigmas"):
+            grid = getattr(self, name)
+            if grid is None and name == "sigmas":
+                continue
+            if not isinstance(grid, (list, tuple, np.ndarray)) or len(grid) == 0:
+                raise InvalidInputError(f"{name} must be a non-empty list of numbers, got {grid!r}")
+            for i, value in enumerate(grid):
+                check_real(value, f"{name}[{i}]", 0)
 
 
 @dataclass
@@ -254,12 +251,6 @@ def _scan(X: np.ndarray, folds: list[np.ndarray], framework: str, lambdas: list[
     return best
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a seed that ``np.random.default_rng`` cannot take."""
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-
-
 def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
            seed: int = 0) -> SelectionResult:
     """Pick (lambda, sigma) for target-only data ``X`` by consistency.
@@ -272,11 +263,10 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     Raises InsufficientMemoryError when the N x N distance or kernel arrays of
     the N rows cannot be allocated.
     """
-    if framework not in MODELS:
-        raise InvalidInputError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
+    check_choice(framework, "framework", tuple(MODELS))
     cfg = cfg or SelectionConfig()
     cfg.validate()
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     X = as_samples(X)
     N = X.shape[0]
     if N < 2 * cfg.folds:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyTargetError, FormatError, SchemaError, SpecError
+from .errors import EmptyTargetError, FormatError, SchemaError, SpecError, check_choice, check_int, check_real
 
 FAMILIES = ("ring", "unimodal_drift", "multimodal_drift", "rotating")
 
@@ -90,39 +90,35 @@ class DriftStreamSpec:
     r_outer: float = 2.0
 
     def validate(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise SpecError(f"{name} must be finite, got {value!r}")
-        if self.family not in FAMILIES:
-            raise SpecError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.total <= 0:
-            raise SpecError(f"total must be positive, got {self.total}")
-        if not 0.0 < self.class_balance < 1.0:
-            raise SpecError(f"class_balance must lie in (0, 1), got {self.class_balance}")
-        if self.drift_period < 1:
-            raise SpecError(f"drift_period must be >= 1, got {self.drift_period}")
-        if self.n_dims < 1 or (self.family in ("ring", "rotating") and self.n_dims < 2):
-            raise SpecError(f"n_dims={self.n_dims} is too small for family {self.family!r}")
-        if self.spread <= 0:
-            raise SpecError(f"spread must be positive, got {self.spread}")
-        if self.wave_period <= 0:
-            raise SpecError(f"wave_period must be positive, got {self.wave_period}")
+        """Refuse a field of the wrong type, or out of its range, with SpecError.
+        Every field is checked for its type and finiteness; the mode, rotation
+        and ring parameters are checked for their range only in their family."""
+        check_choice(self.family, "family", FAMILIES, error=SpecError)
+        ring, rotating, multimodal = (self.family == f for f in ("ring", "rotating", "multimodal_drift"))
+        check_int(self.n_dims, "n_dims", 2 if ring or rotating else 1, error=SpecError)
+        check_int(self.total, "total", 1, error=SpecError)
+        check_int(self.drift_period, "drift_period", 1, error=SpecError)
+        check_int(self.seed, "seed", 0, error=SpecError)
+        check_int(self.mode_count, "mode_count", 2 if multimodal else -math.inf, error=SpecError)
+        check_int(self.dominance_period, "dominance_period", 1 if multimodal else -math.inf, error=SpecError)
+        check_real(self.class_balance, "class_balance", 0, 1, error=SpecError)
+        check_real(self.dominant_weight, "dominant_weight", 0 if multimodal else -math.inf,
+                   1 if multimodal else math.inf, error=SpecError)
+        for name in ("spread", "wave_period"):
+            check_real(getattr(self, name), name, 0, error=SpecError)
+        check_real(self.rotation_period, "rotation_period", 0 if rotating else -math.inf, error=SpecError)
+        check_real(self.r_inner, "r_inner", 0 if ring else -math.inf, error=SpecError)
+        check_real(self.r_outer, "r_outer", self.r_inner if ring else -math.inf, error=SpecError)
+        for name in ("wave_amplitude", "mode_spacing", "orbit_radius"):
+            check_real(getattr(self, name), name, error=SpecError)
         for name in ("velocity", "class_offset"):
             vec = getattr(self, name)
-            if vec is not None:
-                if len(vec) != self.n_dims or not np.isfinite(vec).all():
-                    raise SpecError(f"{name} must be a finite vector of length {self.n_dims}")
-        if self.family == "multimodal_drift":
-            if self.mode_count < 2:
-                raise SpecError(f"mode_count must be >= 2, got {self.mode_count}")
-            if not 0.0 < self.dominant_weight < 1.0:
-                raise SpecError(f"dominant_weight must lie in (0, 1), got {self.dominant_weight}")
-            if self.dominance_period < 1:
-                raise SpecError(f"dominance_period must be >= 1, got {self.dominance_period}")
-        if self.family == "rotating" and self.rotation_period <= 0:
-            raise SpecError(f"rotation_period must be positive, got {self.rotation_period}")
-        if self.family == "ring" and not 0.0 < self.r_inner < self.r_outer:
-            raise SpecError(f"need 0 < r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
+            if vec is None:
+                continue
+            if not isinstance(vec, (list, tuple, np.ndarray)) or len(vec) != self.n_dims:
+                raise SpecError(f"{name} must be null or a list of {self.n_dims} numbers, got {vec!r}")
+            for i, value in enumerate(vec):
+                check_real(value, f"{name}[{i}]", error=SpecError)
 
     def _velocity(self) -> np.ndarray:
         return np.zeros(self.n_dims) if self.velocity is None else np.asarray(self.velocity, float)
@@ -137,10 +133,10 @@ class DriftStreamSpec:
 
 def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> Dataset:
     """``n`` target samples drawn uniformly from the 2-D annulus."""
-    if not 0.0 < r_inner < r_outer:
-        raise SpecError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
-    if n < 0:
-        raise SpecError(f"need n >= 0, got {n}")
+    check_int(n, "n", 0, error=SpecError)
+    check_real(r_inner, "r_inner", 0, error=SpecError)
+    check_real(r_outer, "r_outer", r_inner, error=SpecError)
+    check_int(seed, "seed", 0, error=SpecError)
     rng = np.random.default_rng(seed)
     radius = np.sqrt(rng.random(n) * (r_outer**2 - r_inner**2) + r_inner**2)
     angle = rng.random(n) * 2.0 * math.pi

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import okc.kernel
 import okc.cli
-from okc import DatasetSchema, RunConfig, SelectionConfig, SelectionResult, load_csv, to_one_class
+from okc import (DatasetSchema, RunConfig, SelectionConfig, SelectionResult, load_csv, select, slide_benchmark,
+                 to_one_class)
 from okc.cli import _build_parser, _run_config, main
 
 RING_SPEC = {"family": "ring", "total": 300, "seed": 4, "r_inner": 1.0, "r_outer": 2.0}
@@ -375,6 +377,11 @@ def test_help_documents_experiment_defaults(capsys):
     assert "17" in text and "20" in text  # grid sizes
 
 
+def defaults(func) -> dict:
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()
+            if p.default is not p.empty}
+
+
 def test_run_and_select_without_flags_parse_to_library_defaults(tmp_path, capsys, monkeypatch):
     parser = _build_parser()
     assert _run_config(parser.parse_args(["run", "d.csv"]), parser) == RunConfig()
@@ -384,10 +391,18 @@ def test_run_and_select_without_flags_parse_to_library_defaults(tmp_path, capsys
         calls.append((framework, cfg, seed))
         return SelectionResult(1.0, 1.0, 0.0, 0.0, True)
 
+    def fake_bench(**kwargs):
+        calls.append(kwargs)
+        return {}
+
     monkeypatch.setattr(okc.cli, "select", fake_select)
+    monkeypatch.setattr(okc.cli, "slide_benchmark", fake_bench)
     spec = write_spec(tmp_path, RING_SPEC)
     assert run_cli(["select", str(spec)], capsys)[0] == 0
-    assert calls == [(RunConfig().framework, SelectionConfig(), RunConfig().seed)]
+    assert run_cli(["bench"], capsys)[0] == 0
+    select_defaults = defaults(select)
+    assert calls == [(select_defaults["framework"], SelectionConfig(), select_defaults["seed"]),
+                     defaults(slide_benchmark)]
 
 
 def test_unknown_flag_rejected():

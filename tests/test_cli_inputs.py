@@ -5,9 +5,12 @@ import json
 
 import pytest
 
-from okc.cli import main
+from okc.cli import RUN_DEFAULTS, main
+from okc.errors import InvalidInputError
+from okc.evaluation import RunConfig
 
 SPEC = {"family": "ring", "total": 300, "seed": 4}
+# A case with an explicit id keeps its test name when its expected text changes.
 
 
 def write(tmp_path, name, text):
@@ -26,14 +29,15 @@ def usage_error(argv, capsys) -> str:
 @pytest.mark.parametrize("doc, named", [
     ("[1, 2]", "not a JSON object"),
     ('"abc"', "not a JSON object"),
-    ('{"window": "big"}', "'window'"),
-    ('{"window": 150.5}', "'window'"),
-    ('{"window": true}', "'window'"),
-    ('{"eta": "x"}', "'eta'"),
-    ('{"runs": null}', "'runs'"),
-    ('{"lambda": "5"}', "'lambda'"),
-    ('{"sigma": "wide"}', "'sigma'"),
-    ('{"framework": 3}', "'framework'"),
+    pytest.param('{"window": "big"}', "window must be an integer, got 'big'", id="""{"window": "big"}-'window'"""),
+    pytest.param('{"window": 150.5}', "window must be an integer, got 150.5", id="""{"window": 150.5}-'window'"""),
+    pytest.param('{"window": true}', "window must be an integer, got True", id="""{"window": true}-'window'"""),
+    pytest.param('{"eta": "x"}', "eta must be a number, got 'x'", id="""{"eta": "x"}-'eta'"""),
+    pytest.param('{"runs": null}', "runs must be an integer, got None", id="""{"runs": null}-'runs'"""),
+    pytest.param('{"lambda": "5"}', "lambda must be a number, got '5'", id="""{"lambda": "5"}-'lambda'"""),
+    pytest.param('{"sigma": "wide"}', "sigma must be a number, got 'wide'", id="""{"sigma": "wide"}-'sigma'"""),
+    pytest.param('{"framework": 3}', "framework must be one of ('boundary', 'reconstruction'), got 3",
+                 id="""{"framework": 3}-'framework'"""),
     ('{"mode": "statinary"}', "'statinary'"),
     ('{"lam": 10}', "field(s): lam"),
     ('{"protocol": "stationary"}', "field(s): protocol"),
@@ -44,6 +48,20 @@ def test_run_config_wrong_type_is_a_usage_error(tmp_path, capsys, doc, named):
     err = usage_error(["run", spec, "--config", cfg, "--out", str(tmp_path)], capsys)
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [{"window": "big"}, {"window": 150.5}, {"window": True}, {"eta": "x"},
+                                 {"runs": None}, {"lambda": "5"}, {"sigma": "wide"}, {"framework": 3},
+                                 {"mode": "statinary"}])
+def test_run_config_value_error_is_the_library_message(tmp_path, capsys, doc):
+    # the CLI has no type rule of its own: RunConfig checks every --config value
+    settings = {("lam" if k == "lambda" else k): v for k, v in (RUN_DEFAULTS | doc).items()}
+    with pytest.raises(InvalidInputError) as exc:
+        RunConfig(**settings).validate()
+    spec = write(tmp_path, "spec.json", json.dumps(SPEC))
+    cfg = write(tmp_path, "run.json", json.dumps(doc))
+    err = usage_error(["run", spec, "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert err.endswith(f"error: {exc.value}\n")
 
 
 def test_run_config_accepts_numbers_for_real_fields(tmp_path, capsys):
@@ -65,28 +83,41 @@ def test_protocol_flag_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, named", [
-    ({"family": "ring", "total": "10"}, "'total'"),
-    ({"family": "ring", "total": 100, "velocity": "ab"}, "'velocity'"),
-    ({"family": "ring", "total": 100, "class_offset": [1, "x"]}, "'class_offset'"),
-    ({"family": "ring", "total": 100, "spread": None}, "'spread'"),
-    ({"family": 1, "total": 100}, "'family'"),
+    pytest.param({"family": "ring", "total": "10"}, "total must be an integer, got '10'", id="doc0-'total'"),
+    pytest.param({"family": "ring", "total": 100, "velocity": "ab"},
+                 "velocity must be null or a list of 2 numbers, got 'ab'", id="doc1-'velocity'"),
+    pytest.param({"family": "ring", "total": 100, "class_offset": [1, "x"]},
+                 "class_offset[1] must be a number, got 'x'", id="doc2-'class_offset'"),
+    pytest.param({"family": "ring", "total": 100, "spread": None}, "spread must be a number, got None",
+                 id="doc3-'spread'"),
+    pytest.param({"family": 1, "total": 100},
+                 "family must be one of ('ring', 'unimodal_drift', 'multimodal_drift', 'rotating'), got 1",
+                 id="doc4-'family'"),
+    ({"family": "ring", "total": 100, "seed": -1}, "seed must be >= 0, got -1"),
+    ({"family": "ring", "total": 100, "n_dims": 2.0}, "n_dims must be an integer, got 2.0"),
+    ({"family": "ring", "total": True}, "total must be an integer, got True"),
 ])
 def test_spec_wrong_type_exits_2(tmp_path, capsys, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(doc))
     assert main(["gen", spec, str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert err == f"invalid spec: {named}\n"
     assert main(["run", spec, "--sigma", "1", "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("doc, named", [
-    ('{"spread": NaN}', "spread must be finite, got nan"),
-    ('{"wave_amplitude": -Infinity}', "wave_amplitude must be finite, got -inf"),
-    ('{"wave_amplitude": 1, "wave_period": 0}', "wave_period must be positive, got 0"),
-    ('{"family": "rotating", "rotation_period": NaN}', "rotation_period must be finite, got nan"),
-    ('{"family": "rotating", "rotation_period": 0}', "rotation_period must be positive, got 0"),
+    pytest.param('{"spread": NaN}', "spread must lie in (0, inf), got nan",
+                 id='{"spread": NaN}-spread must be finite, got nan'),
+    pytest.param('{"wave_amplitude": -Infinity}', "wave_amplitude must lie in (-inf, inf), got -inf",
+                 id='{"wave_amplitude": -Infinity}-wave_amplitude must be finite, got -inf'),
+    pytest.param('{"wave_amplitude": 1, "wave_period": 0}', "wave_period must lie in (0, inf), got 0",
+                 id='{"wave_amplitude": 1, "wave_period": 0}-wave_period must be positive, got 0'),
+    pytest.param('{"family": "rotating", "rotation_period": NaN}', "rotation_period must lie in (0, inf), got nan",
+                 id='{"family": "rotating", "rotation_period": NaN}-rotation_period must be finite, got nan'),
+    pytest.param('{"family": "rotating", "rotation_period": 0}', "rotation_period must lie in (0, inf), got 0",
+                 id='{"family": "rotating", "rotation_period": 0}-rotation_period must be positive, got 0'),
     ('{"spread": 1e308}', "the stream overflows"),
     ('{"velocity": [1e307, 0], "total": 20000}', "the stream overflows"),
 ])
@@ -119,11 +150,16 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     ([], {"window": 0}, "window must be >= 1"),
     (["--chunk", "200", "--window", "150"], None, "chunk=200, window=150"),
     (["--eta", "1.5"], None, "eta must lie in (0, 1]"),
-    (["--sigma", "nan"], None, "sigma must be a positive finite number"),
-    (["--sigma", "inf"], None, "sigma must be a positive finite number"),
-    (["--lambda", "nan"], None, "lambda must be a positive finite number"),
-    (["--lambda", "inf"], None, "lambda must be a positive finite number"),
-    ([], {"lambda": 1e400}, "lambda must be a positive finite number"),
+    pytest.param(["--sigma", "nan"], None, "sigma must lie in (0, inf), got nan",
+                 id="flags4-None-sigma must be a positive finite number"),
+    pytest.param(["--sigma", "inf"], None, "sigma must lie in (0, inf), got inf",
+                 id="flags5-None-sigma must be a positive finite number"),
+    pytest.param(["--lambda", "nan"], None, "lambda must lie in (0, inf), got nan",
+                 id="flags6-None-lambda must be a positive finite number"),
+    pytest.param(["--lambda", "inf"], None, "lambda must lie in (0, inf), got inf",
+                 id="flags7-None-lambda must be a positive finite number"),
+    pytest.param([], {"lambda": 1e400}, "lambda must lie in (0, inf), got inf",
+                 id="flags8-doc8-lambda must be a positive finite number"),
     (["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["--sigma", "auto", "--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["--mode", "stationary", "--seed", "-1"], None, "seed must be >= 0, got -1"),
@@ -142,11 +178,14 @@ def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc,
 @pytest.mark.parametrize("flags, named", [
     (["--eta", "1.5"], "eta must lie in (0, 1], got 1.5"),
     (["--eta", "0"], "eta must lie in (0, 1], got 0.0"),
-    (["--sigma-thr", "-1"], "sigma_thr must be >= 0, got -1.0"),
+    pytest.param(["--sigma-thr", "-1"], "sigma_thr must lie in [0, inf), got -1.0",
+                 id="flags2-sigma_thr must be >= 0, got -1.0"),
     (["--folds", "1"], "folds must be >= 2, got 1"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-    (["--sigma-thr", "nan"], "sigma_thr must be >= 0, got nan"),
-    (["--sigma-thr", "inf"], "sigma_thr must be >= 0, got inf"),
+    pytest.param(["--sigma-thr", "nan"], "sigma_thr must lie in [0, inf), got nan",
+                 id="flags5-sigma_thr must be >= 0, got nan"),
+    pytest.param(["--sigma-thr", "inf"], "sigma_thr must lie in [0, inf), got inf",
+                 id="flags6-sigma_thr must be >= 0, got inf"),
 ])
 def test_select_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, named):
     data = write(tmp_path, "d.csv", "".join(f"{i}.0,{i % 3}.5,1\n" for i in range(20)))

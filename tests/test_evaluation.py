@@ -17,17 +17,20 @@ from okc import (
     SpecError,
     UndefinedMetricError,
     auc,
+    consistency_threshold,
     fit_boundary,
     gen_ring,
     gen_stream,
     run_stationary,
+    rejection_threshold,
     run_stream,
     select,
+    sigma_grid,
     slide_benchmark,
     stepwise_accuracy,
 )
 import okc.models
-from okc.models import BoundaryModel, ReconstructionModel, fit_reconstruction
+from okc.models import BoundaryModel, ReconstructionModel, fit_reconstruction, from_snapshot, to_snapshot
 
 
 # ---- auc --------------------------------------------------------------------
@@ -134,6 +137,15 @@ def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
         RunConfig(**bad).validate()
 
 
+def _snapshot_with(**changes):
+    doc = to_snapshot(fit_boundary(RegGramState(np.random.default_rng(0).normal(size=(10, 2)), 1.0,
+                                                KernelSpec()), 0.1))
+    return doc | changes
+
+
+BLOBS = np.random.default_rng(1).normal(size=(20, 2))
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: gen_ring(-1, 1, 2), SpecError),
     (lambda: stepwise_accuracy(np.ones(10), 0), InvalidInputError),
@@ -142,8 +154,44 @@ def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
     (lambda: RunConfig(window="a").validate(), InvalidInputError),
     (lambda: RunConfig(eta="x").validate(), InvalidInputError),
     (lambda: RunConfig(lam="x").validate(), InvalidInputError),
+    # each raised a bare TypeError or ValueError
+    (lambda: gen_ring(2.5, 1, 2), SpecError),
+    (lambda: gen_ring(5, 1, 2, seed=-1), SpecError),
+    (lambda: RegGramState(BLOBS, "a", KernelSpec()), InvalidInputError),
+    (lambda: gen_stream(DriftStreamSpec(total="a")), SpecError),
+    (lambda: gen_stream(DriftStreamSpec(total=True)), SpecError),
+    (lambda: gen_stream(DriftStreamSpec(n_dims=2.0)), SpecError),
+    (lambda: gen_stream(DriftStreamSpec(seed=-1)), SpecError),
+    (lambda: gen_stream(DriftStreamSpec(seed=1.5)), SpecError),
+    (lambda: rejection_threshold([1.0, 2.0], "a"), InvalidInputError),
+    (lambda: slide_benchmark(window="a"), InvalidInputError),
+    (lambda: select(BLOBS, framework=[]), InvalidInputError),
+    (lambda: select(BLOBS, seed=1.5), InvalidInputError),
+    (lambda: SelectionConfig(folds="a").validate(), InvalidInputError),
+    (lambda: SelectionConfig(eta="a").validate(), InvalidInputError),
+    (lambda: stepwise_accuracy(np.ones(10), "a"), InvalidInputError),
+    (lambda: sigma_grid(BLOBS, "a"), InvalidInputError),
+    # each was accepted
+    (lambda: select(BLOBS, cfg=SelectionConfig(folds=2.5)), InvalidInputError),
+    (lambda: RunConfig(eta=True).validate(), InvalidInputError),
+    (lambda: RunConfig(lam=True).validate(), InvalidInputError),
+    (lambda: KernelSpec(True), InvalidInputError),
+    (lambda: gen_stream(DriftStreamSpec(drift_period=2.5)), SpecError),
+    (lambda: gen_stream(DriftStreamSpec(spread=True)), SpecError),
+    (lambda: consistency_threshold(10, 0.0, 2), InvalidInputError),
+    (lambda: from_snapshot(_snapshot_with(**{"lambda": "5"})), InvalidInputError),
+    (lambda: from_snapshot(_snapshot_with(eta=True)), InvalidInputError),
+    (lambda: from_snapshot(_snapshot_with(theta="0.5")), InvalidInputError),
+    (lambda: from_snapshot(_snapshot_with(kernel={"kind": "rbf", "sigma": "2"})), InvalidInputError),
 ], ids=["gen_ring-n", "stepwise_accuracy-steps", "KernelSpec-sigma", "retract-f", "RunConfig-window",
-        "RunConfig-eta", "RunConfig-lam"])
+        "RunConfig-eta", "RunConfig-lam",
+        "gen_ring-n-float", "gen_ring-seed", "RegGramState-lam", "spec-total-str", "spec-total-bool",
+        "spec-n_dims-float", "spec-seed-negative", "spec-seed-float", "rejection_threshold-eta",
+        "slide_benchmark-window", "select-framework-list", "select-seed-float", "SelectionConfig-folds",
+        "SelectionConfig-eta", "stepwise_accuracy-steps-str", "sigma_grid-count",
+        "select-folds-float", "RunConfig-eta-bool", "RunConfig-lam-bool", "KernelSpec-sigma-bool",
+        "spec-drift_period-float", "spec-spread-bool", "consistency_threshold-eta-zero",
+        "snapshot-lambda-str", "snapshot-eta-bool", "snapshot-theta-str", "snapshot-sigma-str"])
 def test_malformed_argument_raises_an_okc_error(call, error):
     assert issubclass(error, OkcError)
     with pytest.raises(error):

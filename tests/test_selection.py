@@ -28,14 +28,17 @@ from okc import (
     select,
     sigma_grid,
 )
-from okc.selection import FRAMEWORKS, _fold_errors
+from okc.models import FRAMEWORKS
+from okc.selection import _fold_errors
 
 
 # ---- consistency threshold -------------------------------------------------
 
 
-def test_threshold_eta_zero():
-    assert consistency_threshold(50, 0.0, 2.0) == 0.0
+def test_threshold_eta_zero_is_refused():
+    # eta has one range, (0, 1], wherever it is taken
+    with pytest.raises(InvalidInputError, match=r"^eta must lie in \(0, 1\], got 0.0$"):
+        consistency_threshold(50, 0.0, 2.0)
 
 
 def test_threshold_sigma_thr_zero():
@@ -44,9 +47,9 @@ def test_threshold_sigma_thr_zero():
 
 @pytest.mark.parametrize("sigma_thr", [float("nan"), float("inf"), -1.0])
 def test_non_finite_or_negative_sigma_thr_is_refused(sigma_thr):
-    with pytest.raises(InvalidInputError, match="sigma_thr must be >= 0"):
+    with pytest.raises(InvalidInputError, match=r"sigma_thr must lie in \[0, inf\)"):
         consistency_threshold(20, 0.05, sigma_thr)
-    with pytest.raises(InvalidInputError, match="sigma_thr must be >= 0"):
+    with pytest.raises(InvalidInputError, match=r"sigma_thr must lie in \[0, inf\)"):
         SelectionConfig(sigma_thr=sigma_thr).validate()
 
 
