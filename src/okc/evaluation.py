@@ -249,6 +249,8 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
         for lo in range(cfg.window, target_pos.size - cfg.chunk + 1, cfg.chunk):
             chunk_pos = target_pos[lo : lo + cfg.chunk]
             flush(int(chunk_pos[-1]) + 1)  # score the chunk-completing sample pre-slide
+            # retract factors the forgotten block; absorb's extend writes p
+            # once, its downdate included, so forget_s holds only the factor
             t = time.perf_counter()
             model.state.retract(cfg.chunk)
             timing["forget_s"] += time.perf_counter() - t

@@ -10,24 +10,32 @@ With ``t = p Phi_uv`` and ``g`` the inverse of the Cholesky factor of ``S``:
     S   = Phi_v - Phi_uv^T t,    g = chol(S)^-1,    S^-1 = g^T g
     z   = t g^T
     P11 = p + z z^T
-    P12 = -z g
+    P21 = -(z g)^T
     P22 = g^T g
 
 Shrinking the window (forgetting the oldest f samples) partitions the current
-inverse as ``[[Fi11, Fi12], [Fi12^T, Ri22]]`` with ``Fi11`` the leading f x f
+inverse as ``[[Fi11, Fi21^T], [Fi21, Ri22]]`` with ``Fi11`` the leading f x f
 block and downdates
 
-    g     = chol(Fi11)^-1,    y = g Fi12
-    p_new = Ri22 - Fi12^T Fi11^-1 Fi12 = Ri22 - y^T y
+    g     = chol(Fi11)^-1,    y = Fi21 g^T
+    p_new = Ri22 - Fi21 Fi11^-1 Fi21^T = Ri22 - y y^T
 
 again factoring only an f x f matrix. This is the sliding-window kernel RLS
-update (Van Vaerenbergh, Via and Santamaria, 2006). Every rank update has
-the form ``A A^T`` or ``A^T A`` of one array, which NumPy evaluates with
-``syrk`` and mirrors, so it is exactly symmetric; adding it to a symmetric
-block keeps ``p`` exactly symmetric without a symmetrizing pass. The
-factorizations also refuse a block that is not positive definite, although
-in exact arithmetic every leading block of ``p`` and every Schur complement
-is.
+update (Van Vaerenbergh, Via and Santamaria, 2006).
+
+One triangle. ``p`` is symmetric, and only its lower triangle, diagonal
+included, enters any computation; the strict upper triangle of its buffer
+holds stale values that no result depends on. The downdate of a forget is not
+written at once: the state holds ``p = C - y y^T``, with ``C`` the stored
+triangle and ``y`` the downdate factors of every forget since the last write.
+The next extension writes ``p`` once, into a spare buffer: copy the kept
+block of ``C``, ``syrk`` ``-y y^T`` into its triangle in place, take ``t =
+symm(p, Phi_uv)`` from it, factor ``S``, ``syrk`` ``+z z^T`` and add the new
+rows. A slide therefore passes over the W x W triangle a few times and
+allocates nothing of that size. The spare buffer joins the state only after
+every factorization has passed, so a refused chunk leaves the state as it
+was. The BLAS and LAPACK calls come from :mod:`okc._blas`, which binds
+NumPy's own OpenBLAS or falls back to NumPy.
 
 The window and ``p`` are the whole state: ``p`` is never re-inverted from
 scratch, because its round-off stays flat over thousands of slides. The test
@@ -42,7 +50,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidInputError, WindowUnderflowError, check_int, check_real
+from . import _blas
+from .errors import IllConditionedError, InvalidInputError, OkcError, WindowUnderflowError, check_int, check_real
 from .kernel import KernelSpec, as_samples, gram
 
 # Reject an inversion when norm1(A) * norm1(A^-1) exceeds this.
@@ -77,44 +86,32 @@ def _invert(a: np.ndarray, what: str) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} is singular") from exc
-    _check_condition(a, inv, what)
+    _check_condition(condition_1(a, inv), len(a), what)
     return inv
 
 
-def _check_condition(a: np.ndarray, inv: np.ndarray, what: str) -> None:
+def _check_condition(cond: float, size: int, what: str) -> None:
     # refuse an inverse whose cond_1 exceeds the limit; log each accepted one
-    cond = condition_1(a, inv)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(f"{what} is ill-conditioned (cond_1 estimate {cond:.3e})")
     if _inversion_log is not None:
-        _inversion_log.append(a.shape[0])
+        _inversion_log.append(size)
 
 
-def _inverse_cholesky(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``g = chol(a)^-1`` and ``a^-1 = g.T @ g``, checked as ``_invert`` checks.
-
-    With ``a = L L^T``, the Cholesky factor of the bordered matrix
-    ``[[a, I], [I, c I]]`` is ``[[L, 0], [L^-T, chol(c I - a^-1)]]``, so one
-    factorization yields ``g = L^-1``, at less cost than inverting ``L``
-    after factoring ``a``. The trailing block only has to be positive
-    definite. ``c = 2 CONDITION_LIMIT / norm1(a)`` makes it so for every
-    ``a`` the condition rule accepts, since ``norm2(a^-1) <= norm1(a^-1)``.
-    It also keeps ``c`` near the scale of ``a^-1``: with ``c = 1e300`` the
-    discarded trailing factor divides small products by ``c`` into subnormal
-    range, and the W=150 stream ran a fifth slower.
-    """
-    n = a.shape[0]
-    bordered = np.zeros((2 * n, 2 * n))
-    bordered[:n, :n] = a
-    diag = np.arange(n)
-    bordered[n + diag, diag] = 1.0
-    bordered[n + diag, n + diag] = 2.0 * CONDITION_LIMIT / np.abs(a).sum(axis=0).max()
+def _inverse_factor(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``g = chol(a)^-1`` and ``a^-1 = g.T @ g`` for the symmetric ``a`` held in
+    its lower triangle, checked as ``_invert`` checks."""
+    g = np.tril(a)
+    # column sums of |a|: the lower triangle's plus the strict lower's row sums
+    abs_g = np.abs(g)
+    norm1 = float((abs_g.sum(axis=0) + abs_g.sum(axis=1) - abs_g.diagonal()).max())
     try:
-        g = np.linalg.cholesky(bordered)[n:, :n].T
+        _blas.potrf(g)
+        _blas.trtri(g)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} is not positive definite or is ill-conditioned") from exc
     inv = g.T @ g
-    _check_condition(a, inv, what)
+    _check_condition(norm1 * float(np.abs(inv).sum(axis=0).max()), len(g), what)
     return g, inv
 
 
@@ -134,11 +131,12 @@ class RegGramState:
     """Window samples plus the maintained inverse ``p`` of their regularized
     Gram matrix ``phi = K(window, window) + (1/lam) I``.
 
-    The constructor inverts ``phi`` directly; afterwards ``extend`` and
-    ``retract`` keep ``p`` in sync with the window without any full-size
-    inversion, and ``phi`` is never stored. ``window`` and ``p`` are the
-    whole state, and each mutator ends by assigning both. The state is owned
-    by a single writer.
+    The constructor inverts ``phi`` directly; afterwards ``retract``,
+    ``extend`` and ``slide`` keep ``p`` in sync with the window without any
+    full-size inversion, and ``phi`` is never stored. ``p`` is held as one
+    triangle plus pending downdate factors (module docstring); ``solve``
+    applies it, and the ``p`` property builds the full matrix. The state is
+    owned by a single writer.
 
     Parameters
     ----------
@@ -162,59 +160,103 @@ class RegGramState:
             raise InvalidInputError("initial window must contain at least one sample")
         self.kernel = kernel
         self.window = X0.copy()
-        # retract reads only the upper blocks of p, as if p were symmetric; the
-        # raw inverse's asymmetry alone left 5e-7 relative error in p after
-        # the first slide at W=1000, lambda=1e3, sigma=1 (1.5e-8 symmetrized)
+        # the triangle of the symmetric part: the raw inverse's asymmetry alone
+        # left 5e-7 relative error in p after the first slide at W=1000,
+        # lambda=1e3, sigma=1 (1.5e-8 symmetrized)
         p = direct_inverse_oracle(self.window, self.lam, self.kernel)[1]
-        self.p = (p + p.T) * 0.5
+        self._buf = (p + p.T) * 0.5
+        self._spare = np.zeros((0, 0))
+        # p = tril(_c) - _y _y^T; _c is a view into _buf, _y has one column per pending forget
+        self._c = self._buf
+        self._y = np.zeros((self.size, 0))
 
     @property
     def size(self) -> int:
         return self.window.shape[0]
 
-    def extend(self, Xv) -> "RegGramState":
-        """Append samples to the window and update ``p`` via the Schur block.
+    @property
+    def p(self) -> np.ndarray:
+        """The full, exactly symmetric inverse, built afresh from the stored
+        triangle: a copy for tests and diagnostics that no update reads."""
+        return _blas.full(self._c) - self._y @ self._y.T
 
-        Only the s x s Schur complement is factored; the stored inverse plays
-        the role of the old block's inverse.
+    def solve(self, b) -> np.ndarray:
+        """``phi^-1 b = p b`` for a vector or a matrix ``b`` with one row per window sample."""
+        b = np.asarray(b, dtype=float)
+        out = _blas.symm(self._c, b)
+        if self._y.shape[1]:
+            out -= self._y @ (self._y.T @ b)
+        return out
+
+    def extend(self, Xv) -> "RegGramState":
+        """Append samples to the window and write ``p`` via the Schur block.
+
+        Only the s x s Schur complement is factored. The new ``p`` is built
+        in the spare buffer, which joins the state only once the factor has
+        passed, so a refused chunk changes nothing. Any downdate pending from
+        ``retract`` is applied in the same pass.
         """
         Xv = as_samples(Xv)
         s = Xv.shape[0]
         if s == 0:
             return self
-        h = self.size
+        c, y, h, m = self._c, self._y, self.size, self.size + s
         phi_uv = gram(self.kernel, self.window, Xv)  # (h, s); refuses a chunk of another width
         phi_v = gram(self.kernel, Xv) + (1.0 / self.lam) * np.eye(s)
 
-        t = self.p @ phi_uv  # (h, s)
-        # the Cholesky factor reads only the lower triangle of S
-        g, p22 = _inverse_cholesky(phi_v - phi_uv.T @ t, "Schur complement")
+        # reuse the spare buffer unless it is too small or over twice the size
+        buf = self._spare if m <= len(self._spare) <= 2 * m else np.zeros((m, m))
+        q = buf[:m, :m]
+        p11 = q[:h, :h]
+        p11[...] = c
+        if y.shape[1]:
+            _blas.syrk(-1.0, y, p11)  # now p11 = p
+        t = _blas.symm(p11, phi_uv)  # (h, s)
+        g, p22 = _inverse_factor(phi_v - phi_uv.T @ t, "Schur complement")
         z = t @ g.T  # (h, s)
+        _blas.syrk(1.0, z, p11)
+        q[h:, :h] = (z @ -g).T
+        q[h:, h:] = p22
 
-        p_new = np.empty((h + s, h + s))
-        p11 = p_new[:h, :h]
-        np.matmul(z, z.T, out=p11)
-        p11 += self.p
-        np.matmul(z, -g, out=p_new[:h, h:])
-        p_new[h:, :h] = p_new[:h, h:].T
-        p_new[h:, h:] = p22
-
+        self._buf, self._spare = buf, self._buf
+        self._c, self._y = q, np.zeros((m, 0))
         self.window = np.vstack([self.window, Xv])
-        self.p = p_new
         return self
 
     def retract(self, f: int) -> "RegGramState":
-        """Forget the oldest ``f`` samples, downdating ``p``."""
+        """Forget the oldest ``f`` samples. Their f x f block of ``p`` is
+        factored now; the downdate ``-y y^T`` waits for the next write."""
         check_int(f, "f")
         if not 1 <= f < self.size:
             raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
-        g, _ = _inverse_cholesky(self.p[:f, :f], "leading inverse block")
-        y = g @ self.p[:f, f:]
-        p_new = y.T @ y
-        np.subtract(self.p[f:, f:], p_new, out=p_new)
+        c, y = self._c, self._y
+        lead, below = c[:f, :f], c[f:, :f]
+        if y.shape[1]:  # an earlier forget is still pending
+            lead = lead - y[:f] @ y[:f].T
+            below = below - y[f:] @ y[:f].T
+        g, _ = _inverse_factor(lead, "leading inverse block")
+        y_new = below @ g.T
 
-        self.window = self.window[f:].copy()
-        self.p = p_new
+        self._c = c[f:, f:]
+        self._y = np.hstack([y[f:], y_new]) if y.shape[1] else y_new
+        self.window = self.window[f:]
+        return self
+
+    def slide(self, Xv) -> "RegGramState":
+        """Forget as many of the oldest samples as ``Xv`` holds and append
+        ``Xv``: ``retract`` then ``extend``, with one write of ``p``. A chunk
+        that either refuses leaves the state as it was."""
+        Xv = as_samples(Xv)
+        if Xv.shape[0] == 0:
+            return self
+        # retract only reassigns these three and extend writes nothing before it succeeds
+        before = self.window, self._c, self._y
+        self.retract(Xv.shape[0])
+        try:
+            self.extend(Xv)
+        except OkcError:
+            self.window, self._c, self._y = before
+            raise
         return self
 
     def inverse_residual(self) -> float:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, OkcError, check_real
+from .errors import InvalidInputError, check_real
 from .gram_window import RegGramState
 from .kernel import RBF, KernelSpec, as_samples, gram
 
@@ -110,7 +110,7 @@ class _WindowedModel:
         return self.score(self.targets(Z) - gram(self.state.kernel, Z, self.state.window) @ self.beta)
 
     def _refit(self) -> None:
-        self.beta = self.state.p @ self.targets(self.state.window)
+        self.beta = self.state.solve(self.targets(self.state.window))
         d = self._training_scores()[first_copies(self.state.window)]
         self.train_distances = np.sort(d)[::-1]
         self.theta = rejection_threshold(self.train_distances, self.eta)
@@ -125,19 +125,11 @@ class _WindowedModel:
         self._refit()
 
     def slide(self, chunk) -> "_WindowedModel":
-        """Forget as many samples as the chunk holds, then absorb it. A chunk
-        that either half refuses leaves the model as it was."""
-        chunk = as_samples(chunk)
-        if chunk.shape[0] == 0:
-            return self
-        # the mutators assign new arrays, never writing in place: the references undo a forget
-        window, p = self.state.window, self.state.p
-        try:
-            self.state.retract(chunk.shape[0])
-            self.absorb(chunk)
-        except OkcError:
-            self.state.window, self.state.p = window, p
-            raise
+        """Forget as many samples as the chunk holds and absorb it, in one
+        update of the state (:meth:`RegGramState.slide`), then refit. A
+        refused chunk leaves the model as it was."""
+        self.state.slide(chunk)
+        self._refit()
         return self
 
 

@@ -1,0 +1,78 @@
+import os
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from okc import _blas
+
+@pytest.fixture(params=["bound", "numpy"])
+def blas(request):
+    """The primitives as bound, then their NumPy fallbacks."""
+    return _blas if request.param == "bound" else SimpleNamespace(**_blas.FALLBACKS)
+
+
+def spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def stale_upper(a):
+    # the strict upper triangle of a stored matrix holds values that must not be used
+    return np.tril(a) + np.triu(np.full(a.shape, 1e300), 1)
+
+
+def test_syrk_updates_the_lower_triangle_of_a_strided_view(blas):
+    rng = np.random.default_rng(0)
+    buf = rng.normal(size=(12, 12))
+    before = buf.copy()
+    a = rng.normal(size=(7, 3))
+    blas.syrk(-2.0, a, buf[3:10, 2:9])
+    want = before[3:10, 2:9] - 2.0 * a @ a.T
+    lower = np.tri(7, dtype=bool)
+    np.testing.assert_allclose(buf[3:10, 2:9][lower], want[lower], rtol=1e-13)
+    outside = np.ones_like(buf, dtype=bool)
+    outside[3:10, 2:9] = False
+    assert np.array_equal(buf[outside], before[outside])
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 1), (9, 4)])
+def test_symm_reads_only_the_lower_triangle(blas, shape):
+    rng = np.random.default_rng(1)
+    full = spd(rng, 9)
+    buf = np.zeros((11, 11))
+    buf[2:, 2:] = stale_upper(full)
+    b = rng.normal(size=shape)
+    out = blas.symm(buf[2:, 2:], b)
+    assert out.shape == shape
+    np.testing.assert_allclose(out, full @ b, rtol=1e-12)
+
+
+def test_potrf_trtri_give_the_inverse_cholesky_factor(blas):
+    rng = np.random.default_rng(2)
+    full = spd(rng, 6)
+    g = stale_upper(full)
+    blas.potrf(g)
+    L = np.tril(g)
+    np.testing.assert_allclose(L @ L.T, full, rtol=1e-12)
+    assert np.array_equal(np.triu(g, 1), np.triu(stale_upper(full), 1))
+    blas.trtri(g)
+    np.testing.assert_allclose(np.tril(g) @ L, np.eye(6), atol=1e-12)
+    assert np.array_equal(np.triu(g, 1), np.triu(stale_upper(full), 1))
+
+
+def test_potrf_refuses_an_indefinite_matrix(blas):
+    with pytest.raises(np.linalg.LinAlgError):
+        blas.potrf(np.array([[1.0, 0.0], [2.0, 1.0]]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_binding_is_the_openblas_numpy_mapped():
+    if _blas.LIBRARY is None:
+        pytest.skip("no OpenBLAS bound: the NumPy fallback is in force")
+    with open("/proc/self/maps") as fh:
+        fields = [line.split(None, 5) for line in fh]
+    mapped = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    assert mapped == {os.path.realpath(_blas.LIBRARY)}
+    assert all(getattr(_blas, k) is not f for k, f in _blas.FALLBACKS.items())

@@ -163,6 +163,36 @@ def test_interleaved_extend_retract_matches_oracle(lam):
     assert np.abs(st.p - p).max() < 1e-8
 
 
+def test_solve_applies_pending_downdates():
+    # two forgets in a row stay pending until the next extension writes p
+    rng = np.random.default_rng(21)
+    st = random_state(rng, 60, 3, 10.0)
+    st.retract(7)
+    st.retract(11)
+    b = rng.normal(size=(st.size, 2))
+    _, p = direct_inverse_oracle(st.window, 10.0, K1)
+    np.testing.assert_allclose(st.solve(b), p @ b, atol=1e-10)
+    np.testing.assert_allclose(st.solve(b[:, 0]), p @ b[:, 0], atol=1e-10)
+    st.extend(scattered(rng, 5, 3))
+    _, p = direct_inverse_oracle(st.window, 10.0, K1)
+    assert np.abs(st.p - p).max() < 1e-10
+
+
+@pytest.mark.parametrize("chunk, error", [
+    (np.ones((3, 2)), DimensionError),
+    (np.ones((80, 3)), WindowUnderflowError),
+])
+def test_refused_slide_leaves_state_as_it_was(chunk, error):
+    rng = np.random.default_rng(22)
+    st = random_state(rng, 60, 3, 10.0)
+    st.retract(4)  # a pending forget stays pending
+    window, p = st.window.copy(), st.p
+    with pytest.raises(error):
+        st.slide(chunk)
+    assert np.array_equal(st.window, window)
+    assert np.array_equal(st.p, p)
+
+
 def test_inverse_residual_small_after_operations():
     rng = np.random.default_rng(5)
     st = random_state(rng, 50, 3, 10.0)
@@ -251,9 +281,9 @@ def test_duplicated_rows_raise_or_keep_inverse_close_to_oracle(seed):
 
 
 class SlidingWindowMachine(RuleBasedStateMachine):
-    """Random extend/retract sequences on well-separated samples: after every
-    step ``p`` matches the oracle, is exactly symmetric, and only the new
-    chunk or the forgotten block was inverted."""
+    """Random extend/retract/slide sequences on well-separated samples: after
+    every step ``p`` matches the oracle, is exactly symmetric, and only the
+    new chunk or the forgotten block was inverted."""
 
     MAX_SIZE = 60
 
@@ -280,6 +310,18 @@ class SlidingWindowMachine(RuleBasedStateMachine):
             self.state.retract(f)
         self.inverted, self.expected = log, [f]
 
+    # a slide draws its chunk as extend does, at most 12 fresh samples:
+    # scattered() keeps a few 1-D samples apart but not 59, which placed two
+    # 0.05 apart, and the absolute 1e-8 bound presumes separated samples
+    # (retract + extend also erred 1.6e-8 on that draw; the dense oracle 6e-11)
+    @precondition(lambda self: self.state.size > 1)
+    @rule(data=hs.data())
+    def slide(self, data):
+        s = data.draw(hs.integers(1, min(12, self.state.size - 1)), label="s")
+        with track_inversions() as log:
+            self.state.slide(scattered(self.rng, s, self.n))
+        self.inverted, self.expected = log, [s, s]
+
     @invariant()
     def p_matches_oracle_and_is_symmetric(self):
         st = self.state
@@ -303,22 +345,35 @@ def drift_targets():
     return stream.X[stream.y == 1]
 
 
-@pytest.mark.parametrize("window, slides, lam, sigma, bound", [
+LONG_STREAMS = [
     (150, 2000, 10.0, 2.0, 1e-10),
     (150, 2000, 1e3, 1.0, 1e-7),
     (1000, 60, 1e3, 1.0, 1e-7),
-])
+]
+
+
+@pytest.mark.parametrize("window, slides, lam, sigma, bound", LONG_STREAMS)
 def test_long_stream_keeps_inverse_close_to_oracle(drift_targets, window, slides, lam, sigma, bound):
+    def retract_extend(st, chunk):
+        st.retract(len(chunk))
+        st.extend(chunk)
+    check_long_stream(retract_extend, drift_targets, window, slides, lam, sigma, bound)
+
+
+@pytest.mark.parametrize("window, slides, lam, sigma, bound", LONG_STREAMS)
+def test_long_stream_slides_keep_inverse_close_to_oracle(drift_targets, window, slides, lam, sigma, bound):
+    check_long_stream(RegGramState.slide, drift_targets, window, slides, lam, sigma, bound)
+
+
+def check_long_stream(step, X, window, slides, lam, sigma, bound):
     chunk = 50
-    X = drift_targets
     assert X.shape[0] >= window + slides * chunk
     kernel = KernelSpec(sigma=sigma)
     st = RegGramState(X[:window], lam, kernel)
     checkpoints = range(slides // 5, slides + 1, slides // 5)
     errors = []
     for k in range(1, slides + 1):
-        st.retract(chunk)
-        st.extend(X[window + (k - 1) * chunk: window + k * chunk])
+        step(st, X[window + (k - 1) * chunk: window + k * chunk])
         if k in checkpoints:
             _, p = direct_inverse_oracle(st.window, lam, kernel)
             errors.append(np.abs(st.p - p).max() / np.abs(p).max())
