@@ -11,16 +11,22 @@ consistent one.
 
 The folds are scored in closed form, not by fitting every candidate. For one
 sigma the kernel matrix ``K`` of the data is built once; for each fold one
-``eigh`` of the training block, ``K_t = U diag(e) U^T``, gives the
-regularized Gram ``phi(lambda) = U diag(d) U^T`` with ``d = e + 1/lambda`` for
-every lambda of the grid at once (as in exact leave-one-out for LS-SVMs,
-Cawley & Talbot 2004, and GCV, Golub, Heath & Wahba 1979). The weights of
-every lambda, ``beta = U (U^T T / d)`` with ``T`` the framework's targets of
-the training rows, are formed side by side. Training and held-out rows are
-then scored as a fitted model scores them: the framework's ``targets``,
-``score`` and ``power`` (:mod:`okc.models`) give the training scores from
-``beta`` alone and the held-out scores from ``K_c beta``, ``K_c`` the
-held-out x training block.
+Householder tridiagonalization of the training block, ``K_t = Q T Q^T``
+(LAPACK ``dsytrd``), serves every lambda of the grid: the regularized Gram is
+``phi(lambda) = Q (T + I / lambda) Q^T``, so its weights are ``beta = Q y``
+with ``(T + I / lambda) y = Q^T T_f``, ``T_f`` the framework's targets of the
+training rows. ``Q^T`` is applied to the targets once, each lambda solves its
+tridiagonal system in O(n) (``dptsv``), and ``Q`` is applied once to the
+weights of all lambdas side by side (``dormtr``). One reduction for many
+regularization parameters is Elden's (BIT 1977) device for Tikhonov problems,
+of the same family as exact leave-one-out for LS-SVMs (Cawley & Talbot 2004)
+and GCV (Golub, Heath & Wahba 1979). Training and held-out rows are then
+scored as a fitted model scores them: the framework's ``targets``, ``score``
+and ``power`` (:mod:`okc.models`) give the training scores from ``beta``
+alone and the held-out scores from ``K_c beta``, ``K_c`` the held-out x
+training block. The LAPACK calls come from :mod:`okc._blas`; where they are
+not bound, its fallback reduces by ``eigh``, a tridiagonalization with a zero
+off-diagonal.
 
 The threshold and the decision are the models' own:
 :func:`~okc.models.rejection_threshold` over the training scores, one
@@ -35,16 +41,19 @@ a time.
 
 A fitted model rejects a regularized Gram whose 1-norm condition number
 exceeds ``CONDITION_LIMIT`` (1e14), and so does the search: a candidate any
-of whose folds fails the rule scores ``inf``. The eigenvalues give the exact
-2-norm condition number ``cond_2 = max d / min d``, and for an n x n matrix
-``cond_2 / n <= cond_1 <= n cond_2``. So a fold is accepted when
+of whose folds fails the rule scores ``inf``. The extreme eigenvalues of
+``T``, found by bisection (``dstebz``), give the 2-norm condition number
+``cond_2 = max d / min d`` of ``phi``, ``d`` its eigenvalues, and for an n x n
+matrix ``cond_2 / n <= cond_1 <= n cond_2``. So a fold is accepted when
 ``n cond_2 <= CONDITION_LIMIT``, rejected when ``min d <= 0`` or
-``cond_2 / n > CONDITION_LIMIT``, and only in the band between is the inverse
-``(U / d) U^T`` formed to evaluate ``cond_1`` exactly as a fit would. RBF
-kernel eigenvalues lie in [0, n] (the trace is n), so ``cond_2 <= n lambda +
-1``; with lambda <= 1e8, as on the default grid, ``n cond_2`` stays below
-1e14 up to n = 999 training rows, and the band is reachable only for larger
-folds (or larger lambdas).
+``cond_2 / n > CONDITION_LIMIT``, and only in the band between is ``phi``
+inverted as a fit inverts it (``np.linalg.inv``) to evaluate ``cond_1``
+exactly. RBF kernel eigenvalues lie in [0, n] (the trace is n), so ``cond_2
+<= n lambda + 1``; with lambda <= 1e8, as on the default grid, ``n cond_2``
+stays below 1e14 up to n = 999 training rows, and the band is reachable only
+for larger folds (or larger lambdas). Should round-off make a pivot of the
+tridiagonal solve non-positive, that lambda is decided and solved as a fit
+would: by the inverse and ``cond_1``.
 
 A width stops early once it is proven inconsistent: after fold k < folds,
 when ``errors[:k].sum(axis=0) / folds > e_thr`` holds for every lambda, its
@@ -64,9 +73,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .errors import (IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError,
                      check_choice, check_int, check_real)
-from .gram_window import CONDITION_LIMIT, condition_1
+from .gram_window import CONDITION_LIMIT, _invert
 from .kernel import KernelSpec, as_samples, gram, pairwise_distance_range
 from .models import MODELS, check_eta, first_copies, rejection_threshold
 
@@ -146,20 +156,55 @@ class SelectionResult:
         }
 
 
-def _usable(K: np.ndarray, e: np.ndarray, U: np.ndarray, lam: float) -> bool:
-    """Whether ``phi = K + I / lam``, with ``K = U diag(e) U^T``, passes the
-    fitted models' 1-norm condition rule."""
-    d = e + 1.0 / lam
-    n = d.size
-    if d.min() <= 0:
+def _fit_inverse(K: np.ndarray, lam: float) -> np.ndarray | None:
+    """The inverse of ``phi = K + I / lam``, formed and checked by a fitted
+    model's own rule; None where a fit would refuse ``phi``."""
+    try:
+        return _invert(K + (1.0 / lam) * np.eye(len(K)), "regularized Gram matrix")
+    except IllConditionedError:
+        return None
+
+
+def _usable(K: np.ndarray, low: float, high: float, lam: float) -> bool:
+    """Whether ``phi = K + I / lam`` passes the fitted models' 1-norm condition
+    rule, given the smallest and largest eigenvalue of ``K``."""
+    low, high = low + 1.0 / lam, high + 1.0 / lam
+    n = len(K)
+    if low <= 0:
         return False
-    cond_2 = d.max() / d.min()
+    cond_2 = high / low
     if n * cond_2 <= CONDITION_LIMIT:
         return True
     if cond_2 / n > CONDITION_LIMIT:
         return False
-    phi = K + (1.0 / lam) * np.eye(n)
-    return condition_1(phi, (U / d) @ U.T) <= CONDITION_LIMIT
+    return _fit_inverse(K, lam) is not None
+
+
+def _weights(K_t: np.ndarray, targets: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(usable, beta)`` for the (n, m) ``targets`` of the rows of ``K_t``:
+    which ``lams`` pass the fitted models' condition rule, and the weights
+    ``beta = (K_t + I / lam)^-1 targets`` of those lambdas side by side, an
+    (n, U * m) array for U usable lambdas, so that one product serves all."""
+    n, m = targets.shape
+    diagonal, off_diagonal, q = _blas.sytrd(K_t)
+    low, high = _blas.stebz(diagonal, off_diagonal)
+    usable = np.array([_usable(K_t, low, high, lam) for lam in lams])
+    if not usable.any():
+        return usable, np.zeros((n, 0))
+    rotated = _blas.ormtr(q, targets, transpose=True)  # Q^T targets
+    solved = np.ones(usable.sum(), dtype=bool)
+    y = np.zeros((n, solved.size, m))
+    for j, lam in enumerate(lams[usable]):
+        try:
+            y[:, j] = _blas.ptsv(diagonal + 1.0 / lam, off_diagonal, rotated)
+        except np.linalg.LinAlgError:
+            # a pivot that round-off made non-positive: solve, or refuse, as a fit would
+            inverse = _fit_inverse(K_t, lam)
+            solved[j] = inverse is not None
+            if solved[j]:
+                y[:, j] = _blas.ormtr(q, inverse @ targets, transpose=True)
+    usable[usable] = solved
+    return usable, _blas.ormtr(q, y[:, solved].reshape(n, -1))
 
 
 def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndarray,
@@ -177,19 +222,14 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
     # select on 500 rows by 3.4 MB in most runs.
     n = len(X_t)
     copy_t, copy_c = np.split(first_copies(np.concatenate([X_t, X_c])), [n])
-    e, U = np.linalg.eigh(K_t)
+    model = MODELS[framework]
+    targets = model.targets(X_t)
+    usable, beta = _weights(K_t, targets.reshape(n, -1), lams)
     errors = np.full(lams.size, np.inf)
-    usable = np.array([_usable(K_t, e, U, lam) for lam in lams])
     if not usable.any():
         return errors
     lams = lams[usable]
-    d = e[:, None] + 1.0 / lams  # (n, L): eigenvalues of phi, one column per lambda
-    model = MODELS[framework]
-    targets = model.targets(X_t)
-    # beta of every lambda side by side, (n, L * m) for m target columns, so
-    # one product serves all; a row reshaped to ``per_row`` holds one per lambda
-    per_row = (lams.size, *targets.shape[1:])
-    beta = U @ ((U.T @ targets.reshape(n, -1))[:, None, :] / d[:, :, None]).reshape(n, -1)
+    per_row = (lams.size, *targets.shape[1:])  # a row of beta holds one weight per lambda
     train_scores = model.score(beta.reshape(n, *per_row)) / lams**model.power
     held_scores = model.score(model.targets(X_c)[:, None] - (K_c @ beta).reshape(len(X_c), *per_row))
     # Equal rows have, exactly, equal scores: a held-out copy of a training row

@@ -67,6 +67,68 @@ def test_potrf_refuses_an_indefinite_matrix(blas):
         blas.potrf(np.array([[1.0, 0.0], [2.0, 1.0]]))
 
 
+def tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_sytrd_rebuilds_a_from_an_orthogonal_q_and_tridiagonal_t(blas, n):
+    rng = np.random.default_rng(3)
+    full = spd(rng, n)
+    a = stale_upper(full)
+    before = a.copy()
+    d, e, q = blas.sytrd(a)
+    assert np.array_equal(a, before)
+    Q = blas.ormtr(q, np.eye(n))
+    np.testing.assert_allclose(Q.T @ Q, np.eye(n), atol=1e-13)
+    np.testing.assert_allclose(Q @ tridiagonal(d, e) @ Q.T, full, rtol=1e-12, atol=1e-12 * n)
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (9, 4)])
+def test_ormtr_applies_q_and_its_transpose(blas, shape):
+    rng = np.random.default_rng(4)
+    d, e, q = blas.sytrd(stale_upper(spd(rng, 9)))
+    Q = blas.ormtr(q, np.eye(9))
+    b = rng.normal(size=shape)
+    before = b.copy()
+    np.testing.assert_allclose(blas.ormtr(q, b), Q @ b, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(blas.ormtr(q, b, transpose=True), Q.T @ b, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(b, before)
+
+
+@pytest.mark.parametrize("off", ["random", "zero"])
+def test_stebz_gives_the_extreme_eigenvalues(blas, off):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 30):
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1) if off == "random" else np.zeros(n - 1)
+        w = np.linalg.eigvalsh(tridiagonal(d, e))
+        low, high = blas.stebz(d, e)
+        assert low == pytest.approx(w[0], abs=1e-13) and high == pytest.approx(w[-1], abs=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(30,), (30, 1), (30, 3)])
+@pytest.mark.parametrize("off", ["random", "zero"])
+def test_ptsv_matches_a_dense_solve(blas, shape, off):
+    rng = np.random.default_rng(6)
+    d = 3.0 + rng.random(30)
+    e = rng.uniform(-1, 1, size=29) if off == "random" else np.zeros(29)
+    b = rng.normal(size=shape)
+    inputs = [v.copy() for v in (d, e, b)]
+    x = blas.ptsv(d, e, b)
+    assert x.shape == shape
+    np.testing.assert_allclose(x, np.linalg.solve(tridiagonal(d, e), b), rtol=1e-12, atol=1e-14)
+    assert all(np.array_equal(v, w) for v, w in zip((d, e, b), inputs))
+
+
+@pytest.mark.parametrize("d, e", [([1.0, 0.5, 2.0], [1.0, 0.0]), ([1.0, -1.0, 2.0], [0.0, 0.0]),
+                                  ([1.0, 0.0], [0.0])])
+def test_ptsv_refuses_a_non_positive_pivot(blas, d, e):
+    # pivots 1, -0.5, 2; then 1, -1, 2; then 1, 0
+    with pytest.raises(np.linalg.LinAlgError):
+        blas.ptsv(np.array(d), np.array(e), np.ones(len(d)))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 def test_binding_is_the_openblas_numpy_mapped():
     if _blas.LIBRARY is None:
@@ -75,4 +137,5 @@ def test_binding_is_the_openblas_numpy_mapped():
         fields = [line.split(None, 5) for line in fh]
     mapped = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
     assert mapped == {os.path.realpath(_blas.LIBRARY)}
+    assert _blas._native.keys() == _blas._SIGNATURES.keys()
     assert all(getattr(_blas, k) is not f for k, f in _blas.FALLBACKS.items())

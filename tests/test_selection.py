@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+import okc._blas
 import okc.gram_window
 import okc.kernel
 import okc.models
@@ -416,26 +417,27 @@ def test_select_out_of_memory_names_row_count(monkeypatch, sigmas):
 # ---- widths proven inconsistent stop early ---------------------------------
 
 
-def count_eigh(monkeypatch) -> list[int]:
-    """Record the order of every ``np.linalg.eigh`` call from now on."""
+def count_reductions(monkeypatch) -> list[int]:
+    """Record the order of every per-fold tridiagonal reduction (``okc._blas.sytrd``,
+    the name through which select calls it) from now on."""
     calls = []
-    eigh = np.linalg.eigh
+    sytrd = okc._blas.sytrd
 
     def counting(a, *args, **kwargs):
         calls.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return sytrd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(okc._blas, "sytrd", counting)
     return calls
 
 
 @pytest.mark.parametrize("seed, cv_error", [(0, 0.092), (4, 0.092), (8, 0.09)])
 def test_select_stops_widths_proven_inconsistent(monkeypatch, seed, cv_error):
     # On these rings the first width is proven inconsistent by its first fold
-    # and the scan stops at the second width: 1 + 5 eigh calls, not 5 + 5. The
+    # and the scan stops at the second width: 1 + 5 reductions, not 5 + 5. The
     # result is the full scan's (lambda 1e-2, sigma #2 and its cv error).
     X = gen_ring(500, 1.0, 2.0, seed=seed).X
-    calls = count_eigh(monkeypatch)
+    calls = count_reductions(monkeypatch)
     res = select(X, "boundary", seed=0)
     assert calls == [400] * 6
     e_thr = consistency_threshold(100, 0.05, 2.0)
@@ -451,7 +453,7 @@ def test_select_fallback_scores_skipped_widths_in_full(monkeypatch, framework):
     # returns the earliest candidate in scan order.
     X = blob(50, seed=7) * 10
     cfg = SelectionConfig(eta=0.05, lambdas=[1e2, 1e4], sigmas=[3e-4, 1e-4, 2e-4])
-    calls = count_eigh(monkeypatch)
+    calls = count_reductions(monkeypatch)
     res = select(X, framework, cfg, seed=0)
     # one fold per width in the scan, then all five per width in the fallback
     assert len(calls) == 3 * (1 + cfg.folds)
@@ -572,3 +574,81 @@ def test_condition_rule_matches_dense_fits_in_band(monkeypatch, framework):
                     if cond_2 / len(train) <= limit < len(train) * cond_2:
                         band["accepted" if dense_ok else "rejected"] += 1
     assert band["accepted"] > 0 and band["rejected"] > 0, band
+
+
+def refuse_pivot(d, e, b):
+    raise np.linalg.LinAlgError("non-positive pivot")
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_refused_pivot_is_scored_as_a_dense_fit_decides(monkeypatch, framework):
+    # Round-off can make a pivot of the tridiagonal solve non-positive. Forced
+    # here for every lambda, with the condition rule bypassed, the fit's own
+    # rule then decides alone: a lambda scores inf exactly where its dense fit
+    # raises, and elsewhere as the tridiagonal solve scores it.
+    limit = 1e4
+    monkeypatch.setattr(okc.gram_window, "CONDITION_LIMIT", limit)
+    monkeypatch.setattr(okc.selection, "CONDITION_LIMIT", limit)
+    lams = np.array(lambda_grid())
+    for seed in range(2):
+        X = blob(50, seed=seed)
+        folds = np.array_split(np.random.default_rng(seed).permutation(50), 5)
+        for sigma in sigma_grid(X, 3):
+            K = gram(KernelSpec(sigma=sigma), X)
+            for i, held_out in enumerate(folds):
+                train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+                args = (K[np.ix_(train, train)], K[np.ix_(held_out, train)], X[train], X[held_out], framework,
+                        lams, 0.1)
+                solved = _fold_errors(*args)
+                with monkeypatch.context() as m:
+                    m.setattr(okc.selection, "_usable", lambda *a: True)
+                    m.setattr(okc._blas, "ptsv", refuse_pivot)
+                    refused = _fold_errors(*args)
+                for lam, err in zip(lams, refused):
+                    try:
+                        RegGramState(X[train], lam, KernelSpec(sigma=sigma))
+                        dense_ok = True
+                    except IllConditionedError:
+                        dense_ok = False
+                    assert np.isfinite(err) == dense_ok, (seed, sigma, i, lam)
+                np.testing.assert_array_equal(refused, solved)
+
+
+# ---- weights at large lambda against a 30-digit solve ----------------------
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_fold_weights_at_large_lambda_match_a_30_digit_solve(monkeypatch, duplicates):
+    # One 80-row training fold of a ring, boundary targets. The relative error
+    # of beta is bounded per lambda, at about 45 times eps * cond_2(phi) of the
+    # fold with duplicated rows (cond_2 1e7 and 1e9; 4e6 and 6e6 without), and
+    # the tridiagonal path may lose at most a factor 2 against the
+    # eigendecomposition (the NumPy fallback).
+    mp = pytest.importorskip("mpmath").mp
+    bound = {1e6: 1e-7, 1e8: 1e-5}
+    rng = np.random.default_rng(7)
+    X = gen_ring(100, 1.0, 2.0, seed=7).X
+    if duplicates:
+        X[rng.integers(100, size=20)] = X[rng.integers(100, size=20)]
+    train = np.concatenate(np.array_split(rng.permutation(100), 5)[1:])
+    X_t, sigma = X[train], 0.5
+    lams = np.array(list(bound))
+    targets = np.ones((len(X_t), 1))
+    usable, beta = okc.selection._weights(gram(KernelSpec(sigma=sigma), X_t), targets, lams)
+    with monkeypatch.context() as m:
+        for name, fallback in okc._blas.FALLBACKS.items():
+            m.setattr(okc._blas, name, fallback)
+        usable_eigh, beta_eigh = okc.selection._weights(gram(KernelSpec(sigma=sigma), X_t), targets, lams)
+    assert usable.all() and usable_eigh.all()
+    with mp.workdps(30):
+        rows = [[mp.mpf(float(v)) for v in x] for x in X_t]
+        K = mp.matrix([[mp.exp(-mp.fsum((a - b) ** 2 for a, b in zip(x, z)) / (2 * mp.mpf(sigma) ** 2))
+                        for z in rows] for x in rows])
+        for j, lam in enumerate(lams):
+            phi = K + mp.eye(len(rows)) / mp.mpf(lam)
+            exact = np.array([float(v) for v in mp.lu_solve(phi, mp.matrix([1] * len(rows)))])
+            scale = np.abs(exact).max()
+            err = np.abs(beta[:, j] - exact).max() / scale
+            err_eigh = np.abs(beta_eigh[:, j] - exact).max() / scale
+            assert err <= bound[lam], (lam, err, err_eigh)
+            assert err <= 2 * err_eigh, (lam, err, err_eigh)
