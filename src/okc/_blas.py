@@ -128,9 +128,10 @@ FALLBACKS = {"syrk": _syrk_numpy, "symm": _symm_numpy, "potrf": _potrf_numpy, "t
 
 
 def _ld(a: np.ndarray) -> int:
-    # row stride in elements; BLAS needs unit column stride
+    # row stride in elements; BLAS needs unit column stride. An empty array's
+    # strides are arbitrary (NumPy gives zeros((0, s)) zero strides) and unread.
     rows, cols = a.strides
-    if cols != 8 and a.shape[1] > 1 or rows % 8 or a.dtype != np.float64:
+    if a.dtype != np.float64 or a.size and (cols != 8 and a.shape[1] > 1 or rows % 8):
         raise ValueError("BLAS operands must be float64 with unit column stride")
     return max(rows // 8, a.shape[1], 1)
 

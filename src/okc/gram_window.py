@@ -13,6 +13,14 @@ With ``t = p Phi_uv`` and ``g`` the inverse of the Cholesky factor of ``S``:
     P21 = -(z g)^T
     P22 = g^T g
 
+The constructor takes this step from an empty window: with no rows there is
+no ``Phi_uv``, ``S`` is ``phi`` itself and ``p = g^T g`` is ``phi``'s inverse
+through its Cholesky factor, the stable inverse of a positive definite matrix
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10). Every
+``p`` thus comes from one factorization and one refusal rule: a Cholesky
+factor, then ``cond_1 <= CONDITION_LIMIT``. ``S`` is formed and factored in
+place, so the first fill peaks at about three W x W arrays.
+
 Shrinking the window (forgetting the oldest f samples) partitions the current
 inverse as ``[[Fi11, Fi21^T], [Fi21, Ri22]]`` with ``Fi11`` the leading f x f
 block and downdates
@@ -30,18 +38,18 @@ written at once: the state holds ``p = C - y y^T``, with ``C`` the stored
 triangle and ``y`` the downdate factors of every forget since the last write.
 The next extension writes ``p`` once, into a spare buffer: copy the kept
 block of ``C``, ``syrk`` ``-y y^T`` into its triangle in place, take ``t =
-symm(p, Phi_uv)`` from it, factor ``S``, ``syrk`` ``+z z^T`` and add the new
-rows. A slide therefore passes over the W x W triangle a few times and
-allocates nothing of that size. The spare buffer joins the state only after
-every factorization has passed, so a refused chunk leaves the state as it
-was. The BLAS and LAPACK calls come from :mod:`okc._blas`, which binds
+symm(p, Phi_uv)`` from it, form and factor ``S`` where ``P22`` goes, ``syrk``
+``+z z^T`` and add the new rows. A slide therefore passes over the W x W
+triangle a few times and allocates nothing of that size. The spare buffer
+joins the state only after every factorization has passed, so a refused
+chunk leaves the state as it was. The BLAS and LAPACK calls come from :mod:`okc._blas`, which binds
 NumPy's own OpenBLAS or falls back to NumPy.
 
 The window and ``p`` are the whole state: ``p`` is never re-inverted from
 scratch, because its round-off stays flat over thousands of slides. The test
 suite checks both identities, and ``p`` after thousands of slides along a
 drifting stream, against ``direct_inverse_oracle``, which builds ``phi`` from
-the window and inverts it densely.
+the window and inverts it densely by LU.
 """
 
 from __future__ import annotations
@@ -76,20 +84,6 @@ def track_inversions():
         _inversion_log = previous
 
 
-def condition_1(a: np.ndarray, inv: np.ndarray) -> float:
-    """``norm1(a) * norm1(inv)``: the 1-norm condition number of ``a``, given its inverse."""
-    return float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-
-
-def _invert(a: np.ndarray, what: str) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"{what} is singular") from exc
-    _check_condition(condition_1(a, inv), len(a), what)
-    return inv
-
-
 def _check_condition(cond: float, size: int, what: str) -> None:
     # refuse an inverse whose cond_1 exceeds the limit; log each accepted one
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -98,32 +92,50 @@ def _check_condition(cond: float, size: int, what: str) -> None:
         _inversion_log.append(size)
 
 
+def _regularize(K: np.ndarray, lam: float) -> np.ndarray:
+    """``K + (1/lam) I``, written into ``K`` and returned. Off the diagonal
+    ``x + 0.0 == x``, so the bits are those of the out-of-place sum."""
+    K.flat[:: len(K) + 1] += 1.0 / lam
+    return K
+
+
 def _inverse_factor(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``g = chol(a)^-1`` and ``a^-1 = g.T @ g`` for the symmetric ``a`` held in
-    its lower triangle, checked as ``_invert`` checks."""
-    g = np.tril(a)
+    """``(g, a^-1)`` with ``g = chol(a)^-1`` and ``a^-1 = g.T @ g``, for the
+    symmetric ``a`` held in its lower triangle.
+
+    ``g`` is ``a`` itself, factored in place with its strict upper triangle
+    zeroed. Refuses ``a`` unless it is positive definite with ``norm1(a)
+    norm1(a^-1)`` at most ``CONDITION_LIMIT``.
+    """
     # column sums of |a|: the lower triangle's plus the strict lower's row sums
-    abs_g = np.abs(g)
-    norm1 = float((abs_g.sum(axis=0) + abs_g.sum(axis=1) - abs_g.diagonal()).max())
+    abs_l = np.abs(np.tril(a))
+    norm1 = float((abs_l.sum(axis=0) + abs_l.sum(axis=1) - abs_l.diagonal()).max())
+    del abs_l  # W x W on a first fill: freed before the inverse is formed
     try:
-        _blas.potrf(g)
-        _blas.trtri(g)
+        _blas.potrf(a)
+        _blas.trtri(a)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} is not positive definite or is ill-conditioned") from exc
-    inv = g.T @ g
-    _check_condition(norm1 * float(np.abs(inv).sum(axis=0).max()), len(g), what)
-    return g, inv
+    np.copyto(a, 0.0, where=~np.tri(len(a), dtype=bool))
+    inv = a.T @ a
+    _check_condition(norm1 * float(np.abs(inv).sum(axis=0).max()), len(a), what)
+    return a, inv
 
 
 def direct_inverse_oracle(X, lam: float, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Build ``phi = K(X, X) + (1/lam) I`` and invert it densely.
+    """Build ``phi = K(X, X) + (1/lam) I`` and invert it densely by LU.
 
     Reference path used by tests to validate the incremental updates, and by
-    the benchmark as the full-recompute baseline.
+    the benchmark as the full-recompute baseline. It refuses ``phi`` when it
+    is singular or its ``cond_1`` exceeds ``CONDITION_LIMIT``.
     """
-    K = gram(kernel, X)
-    phi = K + (1.0 / lam) * np.eye(K.shape[0])
-    p = _invert(phi, "regularized Gram matrix")
+    phi = _regularize(gram(kernel, X), lam)
+    what = "regularized Gram matrix"
+    try:
+        p = np.linalg.inv(phi)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{what} is singular") from exc
+    _check_condition(float(np.abs(phi).sum(axis=0).max() * np.abs(p).sum(axis=0).max()), len(phi), what)
     return phi, p
 
 
@@ -131,9 +143,10 @@ class RegGramState:
     """Window samples plus the maintained inverse ``p`` of their regularized
     Gram matrix ``phi = K(window, window) + (1/lam) I``.
 
-    The constructor inverts ``phi`` directly; afterwards ``retract``,
+    The constructor appends ``X0`` to an empty window by ``extend``'s Schur
+    step, whose complement is then ``phi`` itself; afterwards ``retract``,
     ``extend`` and ``slide`` keep ``p`` in sync with the window without any
-    full-size inversion, and ``phi`` is never stored. ``p`` is held as one
+    full-size factorization, and ``phi`` is never stored. ``p`` is held as one
     triangle plus pending downdate factors (module docstring); ``solve``
     applies it, and the ``p`` property builds the full matrix. The state is
     owned by a single writer.
@@ -151,6 +164,9 @@ class RegGramState:
     ------
     InvalidInputError
         If ``lam`` is not a positive finite real or ``X0`` holds no sample.
+    IllConditionedError
+        If ``phi`` is not positive definite or its ``cond_1`` exceeds
+        ``CONDITION_LIMIT``.
     """
 
     def __init__(self, X0, lam: float, kernel: KernelSpec):
@@ -159,16 +175,11 @@ class RegGramState:
         if X0.shape[0] < 1:
             raise InvalidInputError("initial window must contain at least one sample")
         self.kernel = kernel
-        self.window = X0.copy()
-        # the triangle of the symmetric part: the raw inverse's asymmetry alone
-        # left 5e-7 relative error in p after the first slide at W=1000,
-        # lambda=1e3, sigma=1 (1.5e-8 symmetrized)
-        p = direct_inverse_oracle(self.window, self.lam, self.kernel)[1]
-        self._buf = (p + p.T) * 0.5
-        self._spare = np.zeros((0, 0))
+        self.window = X0[:0]
         # p = tril(_c) - _y _y^T; _c is a view into _buf, _y has one column per pending forget
-        self._c = self._buf
-        self._y = np.zeros((self.size, 0))
+        self._buf = self._spare = self._c = np.zeros((0, 0))
+        self._y = np.zeros((0, 0))
+        self._append(X0, "regularized Gram matrix")
 
     @property
     def size(self) -> int:
@@ -197,22 +208,30 @@ class RegGramState:
         ``retract`` is applied in the same pass.
         """
         Xv = as_samples(Xv)
+        if Xv.shape[0]:
+            self._append(Xv, "Schur complement")
+        return self
+
+    def _append(self, Xv: np.ndarray, what: str) -> None:
+        # extend's Schur step for s >= 1 samples; ``what`` names S in a refusal.
+        # S is formed and factored in its place in the spare buffer, where P22
+        # goes; on the empty window (h = 0) S is phi.
         s = Xv.shape[0]
-        if s == 0:
-            return self
         c, y, h, m = self._c, self._y, self.size, self.size + s
         phi_uv = gram(self.kernel, self.window, Xv)  # (h, s); refuses a chunk of another width
-        phi_v = gram(self.kernel, Xv) + (1.0 / self.lam) * np.eye(s)
 
         # reuse the spare buffer unless it is too small or over twice the size
         buf = self._spare if m <= len(self._spare) <= 2 * m else np.zeros((m, m))
         q = buf[:m, :m]
-        p11 = q[:h, :h]
+        p11, S = q[:h, :h], q[h:, h:]
         p11[...] = c
         if y.shape[1]:
             _blas.syrk(-1.0, y, p11)  # now p11 = p
         t = _blas.symm(p11, phi_uv)  # (h, s)
-        g, p22 = _inverse_factor(phi_v - phi_uv.T @ t, "Schur complement")
+        S[...] = gram(self.kernel, Xv)
+        _regularize(S, self.lam)
+        S -= phi_uv.T @ t
+        g, p22 = _inverse_factor(S, what)  # g overwrites S
         z = t @ g.T  # (h, s)
         _blas.syrk(1.0, z, p11)
         q[h:, :h] = (z @ -g).T
@@ -221,7 +240,6 @@ class RegGramState:
         self._buf, self._spare = buf, self._buf
         self._c, self._y = q, np.zeros((m, 0))
         self.window = np.vstack([self.window, Xv])
-        return self
 
     def retract(self, f: int) -> "RegGramState":
         """Forget the oldest ``f`` samples. Their f x f block of ``p`` is
@@ -230,9 +248,9 @@ class RegGramState:
         if not 1 <= f < self.size:
             raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
         c, y = self._c, self._y
-        lead, below = c[:f, :f], c[f:, :f]
+        lead, below = c[:f, :f].copy(), c[f:, :f]  # the factorization overwrites lead
         if y.shape[1]:  # an earlier forget is still pending
-            lead = lead - y[:f] @ y[:f].T
+            lead -= y[:f] @ y[:f].T
             below = below - y[f:] @ y[:f].T
         g, _ = _inverse_factor(lead, "leading inverse block")
         y_new = below @ g.T
@@ -262,5 +280,6 @@ class RegGramState:
     def inverse_residual(self) -> float:
         """``||phi @ p - I||_max``, the maintained-inverse error, with ``phi``
         rebuilt from the window."""
-        phi = gram(self.kernel, self.window) + (1.0 / self.lam) * np.eye(self.size)
-        return float(np.abs(phi @ self.p - np.eye(self.size)).max())
+        residual = _regularize(gram(self.kernel, self.window), self.lam) @ self.p
+        residual.flat[:: self.size + 1] -= 1.0
+        return float(np.abs(residual).max())

@@ -47,13 +47,14 @@ of whose folds fails the rule scores ``inf``. The extreme eigenvalues of
 matrix ``cond_2 / n <= cond_1 <= n cond_2``. So a fold is accepted when
 ``n cond_2 <= CONDITION_LIMIT``, rejected when ``min d <= 0`` or
 ``cond_2 / n > CONDITION_LIMIT``, and only in the band between is ``phi``
-inverted as a fit inverts it (``np.linalg.inv``) to evaluate ``cond_1``
-exactly. RBF kernel eigenvalues lie in [0, n] (the trace is n), so ``cond_2
-<= n lambda + 1``; with lambda <= 1e8, as on the default grid, ``n cond_2``
-stays below 1e14 up to n = 999 training rows, and the band is reachable only
-for larger folds (or larger lambdas). Should round-off make a pivot of the
-tridiagonal solve non-positive, that lambda is decided and solved as a fit
-would: by the inverse and ``cond_1``.
+inverted as a fit inverts it, by Cholesky (``_inverse_factor``), to
+evaluate ``cond_1`` exactly; a ``phi`` that is not positive definite is
+refused there, as a fit refuses it. RBF kernel eigenvalues lie in [0, n] (the
+trace is n), so ``cond_2 <= n lambda + 1``; with lambda <= 1e8, as on the
+default grid, ``n cond_2`` stays below 1e14 up to n = 999 training rows, and
+the band is reachable only for larger folds (or larger lambdas). Should
+round-off make a pivot of the tridiagonal solve non-positive, that lambda is
+decided and solved as a fit would: by the Cholesky inverse and ``cond_1``.
 
 A width stops early once it is proven inconsistent: after fold k < folds,
 when ``errors[:k].sum(axis=0) / folds > e_thr`` holds for every lambda, its
@@ -76,7 +77,7 @@ import numpy as np
 from . import _blas
 from .errors import (IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError,
                      check_choice, check_int, check_real)
-from .gram_window import CONDITION_LIMIT, _invert
+from .gram_window import CONDITION_LIMIT, _inverse_factor, _regularize
 from .kernel import KernelSpec, as_samples, gram, pairwise_distance_range
 from .models import MODELS, check_eta, first_copies, rejection_threshold
 
@@ -157,10 +158,11 @@ class SelectionResult:
 
 
 def _fit_inverse(K: np.ndarray, lam: float) -> np.ndarray | None:
-    """The inverse of ``phi = K + I / lam``, formed and checked by a fitted
-    model's own rule; None where a fit would refuse ``phi``."""
+    """The inverse of ``phi = K + I / lam``, factored and checked by a fitted
+    model's own rule (Cholesky, then ``cond_1``); None where a fit would
+    refuse ``phi``."""
     try:
-        return _invert(K + (1.0 / lam) * np.eye(len(K)), "regularized Gram matrix")
+        return _inverse_factor(_regularize(K.copy(), lam), "regularized Gram matrix")[1]
     except IllConditionedError:
         return None
 

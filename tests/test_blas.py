@@ -49,6 +49,21 @@ def test_symm_reads_only_the_lower_triangle(blas, shape):
     np.testing.assert_allclose(out, full @ b, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_syrk_and_symm_take_operands_with_zero_rows(blas, k):
+    # a window's first fill is a Schur step onto an empty window; NumPy gives
+    # an empty array zero strides
+    empty = np.zeros((0, k))
+    buf = np.ones((5, 5))
+    before = buf.copy()
+    for c in (np.zeros((0, 0)), buf[5:, 5:]):
+        blas.syrk(1.0, empty, c)
+        out = blas.symm(c, empty)
+        assert out.shape == (0, k)
+        assert blas.symm(c, np.zeros(0)).shape == (0,)
+    assert np.array_equal(buf, before)
+
+
 def test_potrf_trtri_give_the_inverse_cholesky_factor(blas):
     rng = np.random.default_rng(2)
     full = spd(rng, 6)

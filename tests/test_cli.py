@@ -284,6 +284,17 @@ def test_no_target_row_is_a_data_error(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", "error: no sample carries a label in ['1']\n")
 
 
+def test_run_refusing_the_first_window_exits_1(tmp_path, capsys):
+    # one repeated point with a 1e-15 ridge: the first window's regularized
+    # Gram matrix is refused when the state is built
+    data = tmp_path / "constant.csv"
+    data.write_text("0.0,0.0,1\n" * 300)
+    code, out, err = run_cli(["run", str(data), "--sigma", "1", "--lambda", "1e15", "--out", str(tmp_path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: regularized Gram matrix is ")
+
+
 def test_run_missing_file_exits_1(tmp_path, capsys):
     code, out, err = run_cli(["run", str(tmp_path / "nope.csv"), "--sigma", "1.0"], capsys)
     assert code == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,7 +43,10 @@ def scattered(rng, m, n):
 def test_init_1x1():
     st = RegGramState([[0.0]], 1.0, K1)
     assert rebuilt_phi(st).tolist() == [[2.0]]
-    assert st.p.tolist() == [[0.5]]
+    # p = g^T g with g = 1 / sqrt(2) rounded, within an ulp of the oracle's 1/2
+    _, p = direct_inverse_oracle([[0.0]], 1.0, K1)
+    assert np.array_equal(st.p, st.p.T)
+    assert np.abs(st.p - p).max() <= 1e-15
 
 
 def test_init_2x2_matches_direct_inversion():
@@ -224,9 +229,9 @@ def test_oracle_matches_init_exactly():
     st = RegGramState(X, 2.0, K1)
     phi, p = direct_inverse_oracle(X, 2.0, K1)
     assert np.array_equal(rebuilt_phi(st), phi)
-    # the state keeps the symmetric part of the dense inverse
-    assert not np.array_equal(p, p.T)
-    assert np.array_equal(st.p, (p + p.T) * 0.5)
+    # the state inverts phi through its Cholesky factor, the oracle by LU
+    assert np.array_equal(st.p, st.p.T)
+    assert np.abs(st.p - p).max() <= 1e-13 * np.abs(p).max()
 
 
 def test_oracle_is_layout_sensitive():
@@ -245,6 +250,14 @@ def test_ill_conditioned_duplicate_window_rejected():
     X = np.zeros((5, 2))
     with pytest.raises(IllConditionedError):
         RegGramState(X, 1e15, K1)
+
+
+@pytest.mark.parametrize("lam", [1e15, 1e17])
+def test_refused_first_window_names_the_regularized_gram_matrix(lam):
+    # J + 1e-15 I passes the Cholesky factorization and fails cond_1; the
+    # factorization refuses J + 1e-17 I
+    with pytest.raises(IllConditionedError, match="^regularized Gram matrix is "):
+        RegGramState(np.zeros((5, 2)), lam, K1)
 
 
 def test_extend_ill_conditioned_schur_rejected(monkeypatch):
@@ -278,6 +291,38 @@ def test_duplicated_rows_raise_or_keep_inverse_close_to_oracle(seed):
             return
         _, p = direct_inverse_oracle(st.window, lam, kernel)
         assert np.abs(st.p - p).max() / np.abs(p).max() < 1e-6, k
+
+
+@pytest.mark.parametrize("lam, bound", [(1e6, 1e-8), (1e8, 1e-6)])
+def test_initial_beta_on_duplicated_rows_matches_a_40_digit_solve(lam, bound):
+    # 60 rows of 2-D integer features from 1..6 repeat at most 36 points, so
+    # with a 1e-6 or 1e-8 ridge phi is nearly singular; the first fill's
+    # beta = p 1 must still match an exact solve
+    mp = pytest.importorskip("mpmath").mp
+    W, sigma = 60, 3.0
+    for seed in range(3):
+        X = np.random.default_rng(seed).integers(1, 7, size=(W, 2)).astype(float)
+        beta = RegGramState(X, lam, KernelSpec(sigma=sigma)).solve(np.ones(W))
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2).astype(int)  # exact: integer rows
+        with mp.workdps(40):
+            k = {int(v): mp.exp(-mp.mpf(int(v)) / (2 * mp.mpf(sigma) ** 2)) for v in np.unique(d2)}
+            phi = mp.matrix([[k[int(v)] for v in row] for row in d2]) + mp.eye(W) / mp.mpf(lam)
+            exact = np.array([float(v) for v in mp.lu_solve(phi, mp.matrix([1] * W))])
+        err = np.abs(beta - exact).max() / np.abs(exact).max()
+        assert err <= bound, (seed, err)
+
+
+def test_first_fill_peaks_below_three_and_a_half_window_squares():
+    # phi is formed and factored in place in the state's own buffer
+    W = 400
+    X = np.random.default_rng(0).normal(size=(W, 2))
+    tracemalloc.start()
+    try:
+        RegGramState(X, 1e3, K1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * W * W, peak / (8 * W * W)
 
 
 class SlidingWindowMachine(RuleBasedStateMachine):
