@@ -14,19 +14,17 @@ and malformed specs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import json
 import sys
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 from .errors import InvalidInputError, OkcError, SpecError, check_int
 from .evaluation import MODES, RunConfig, run_stationary, run_stream, slide_benchmark
 from .models import FRAMEWORKS
 from .selection import SelectionConfig, select
-from .streams import (TARGET_LABEL, Dataset, DatasetSchema, DriftStreamSpec, gen_stream, load_csv,
+from .streams import (TARGET_LABEL, Dataset, DatasetSchema, DriftStreamSpec, check_delimiter, gen_stream, load_csv,
                       minmax_normalize, save_csv, to_one_class)
 
 
@@ -43,6 +41,10 @@ BENCH_DEFAULTS = _defaults(slide_benchmark)
 
 
 def _package_version() -> str:
+    # imported here, not at the top: no other command reads package metadata,
+    # so no other command pays for the import
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("okc")
     except PackageNotFoundError:
@@ -107,14 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _delimiter(text: str) -> str:
     try:
-        csv.reader([], delimiter=text)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"unusable CSV delimiter {text!r}: {exc}") from None
-    return text
+        return check_delimiter(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sigma(text: str) -> float | str:
-    """'auto', or else a number, whose range RunConfig.validate checks."""
+    """'auto', or else a number, whose range RunConfig checks."""
     if text == "auto":
         return text
     try:
@@ -180,7 +181,7 @@ def _load_fields(path: str, fields, what: str) -> dict:
 
 
 def _load_spec(path: str) -> DriftStreamSpec:
-    """The spec of a JSON file; gen_stream validates it."""
+    """The spec of a JSON file, which checks itself when made."""
     fields = [f.name for f in dataclasses.fields(DriftStreamSpec)]
     return DriftStreamSpec(**_load_fields(path, fields, "spec"))
 
@@ -194,9 +195,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_select(args, parser) -> int:
-    cfg = SelectionConfig(folds=args.folds, sigma_thr=args.sigma_thr, eta=args.eta)
     try:
-        cfg.validate()
+        cfg = SelectionConfig(folds=args.folds, sigma_thr=args.sigma_thr, eta=args.eta)
         check_int(args.seed, "seed", 0)
     except InvalidInputError as exc:
         parser.error(str(exc))
@@ -216,12 +216,10 @@ def _run_config(args, parser) -> RunConfig:
             parser.error(str(exc))
     settings.update((key, getattr(args, key)) for key in RUN_DEFAULTS if hasattr(args, key))
     settings["lam"] = settings.pop("lambda")
-    cfg = RunConfig(**settings)
     try:
-        cfg.validate()
+        return RunConfig(**settings)
     except InvalidInputError as exc:
         parser.error(str(exc))
-    return cfg
 
 
 def _cmd_run(args, parser) -> int:
@@ -272,6 +270,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -33,8 +33,10 @@ from .streams import TARGET_LABEL, Dataset, to_one_class
 MODES = ("sliding", "static", "stationary")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Settings of a run, checked when made: each field holds what its check returns."""
+
     framework: str = "boundary"  # boundary | reconstruction
     mode: str = "sliding"  # one of MODES
     window: int = 150
@@ -45,21 +47,22 @@ class RunConfig:
     runs: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        store = super().__setattr__  # the frozen class's own __setattr__ refuses
         check_choice(self.framework, "framework", FRAMEWORKS)
         check_choice(self.mode, "mode", MODES)
-        check_int(self.window, "window", 1)
-        check_int(self.chunk, "chunk")
+        store("window", check_int(self.window, "window", 1))
+        store("chunk", check_int(self.chunk, "chunk"))
         if self.mode == "sliding" and not 0 < self.chunk < self.window:
             raise InvalidInputError(
                 f"sliding mode needs 0 < chunk < window, got chunk={self.chunk}, window={self.window}"
             )
-        check_eta(self.eta)
-        check_int(self.runs, "runs", 1)
-        check_int(self.seed, "seed", 0)
+        store("eta", check_eta(self.eta))
+        store("runs", check_int(self.runs, "runs", 1))
+        store("seed", check_int(self.seed, "seed", 0))
         if not (isinstance(self.sigma, str) and self.sigma == "auto"):
-            check_real(self.sigma, "sigma", 0)
-        check_real(self.lam, "lambda", 0)
+            store("sigma", check_real(self.sigma, "sigma", 0))
+        store("lam", check_real(self.lam, "lambda", 0))
 
     def to_json_dict(self) -> dict:
         return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
@@ -133,7 +136,7 @@ def _resolve_hyperparams(cfg: RunConfig, train_X: np.ndarray) -> tuple[float, fl
     if cfg.sigma == "auto":
         result = select(train_X, cfg.framework, SelectionConfig(eta=cfg.eta), seed=cfg.seed)
         return result.lam, result.sigma
-    return cfg.lam, float(cfg.sigma)
+    return cfg.lam, cfg.sigma
 
 
 def _report(actual: np.ndarray, predicted: np.ndarray, timing: dict[str, float], cfg: RunConfig,
@@ -166,7 +169,6 @@ def run_stationary(dataset: Dataset, cfg: RunConfig) -> EvalReport:
     averages per-run AUC. Raises InvalidInputError unless ``cfg.mode`` is
     ``"stationary"``.
     """
-    cfg.validate()
     if cfg.mode != "stationary":
         raise InvalidInputError(f"run_stationary runs mode 'stationary', got {cfg.mode!r}")
     X, y = dataset.X, to_one_class(dataset, {TARGET_LABEL})[0].y
@@ -210,7 +212,6 @@ def run_stream(stream: Dataset, cfg: RunConfig) -> EvalReport:
     the model slides whenever ``cfg.chunk`` new target samples have arrived.
     Raises InvalidInputError when ``cfg.mode`` is ``"stationary"``.
     """
-    cfg.validate()
     if cfg.mode == "stationary":
         raise InvalidInputError("run_stream runs modes 'sliding' and 'static', got 'stationary'")
     X, y = stream.X, to_one_class(stream, {TARGET_LABEL})[0].y

@@ -41,7 +41,7 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        check_real(self.sigma, "sigma", 0)
+        super().__setattr__("sigma", check_real(self.sigma, "sigma", 0))
 
 
 def as_samples(X, name: str = "X") -> np.ndarray:

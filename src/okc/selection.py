@@ -117,26 +117,28 @@ def consistency_threshold(M: int, eta: float, sigma_thr: float) -> float:
     return eta + sigma_thr * math.sqrt(eta * (1.0 - eta) / M)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionConfig:
+    """Settings of a search, checked when made: each field holds what its check returns."""
+
     folds: int = 5
     sigma_thr: float = 2.0
     eta: float = 0.05
-    lambdas: list[float] = field(default_factory=lambda_grid)
-    sigmas: list[float] | None = None  # None: derive from the data via sigma_grid
+    lambdas: tuple[float, ...] = field(default_factory=lambda_grid)
+    sigmas: tuple[float, ...] | None = None  # None: derive from the data via sigma_grid
 
-    def validate(self) -> None:
-        check_int(self.folds, "folds", 2)
-        check_eta(self.eta)
-        check_real(self.sigma_thr, "sigma_thr", 0, low_open=False)
+    def __post_init__(self):
+        store = super().__setattr__  # the frozen class's own __setattr__ refuses
+        store("folds", check_int(self.folds, "folds", 2))
+        store("eta", check_eta(self.eta))
+        store("sigma_thr", check_real(self.sigma_thr, "sigma_thr", 0, low_open=False))
         for name in ("lambdas", "sigmas"):
             grid = getattr(self, name)
             if grid is None and name == "sigmas":
                 continue
             if not isinstance(grid, (list, tuple, np.ndarray)) or len(grid) == 0:
                 raise InvalidInputError(f"{name} must be a non-empty list of numbers, got {grid!r}")
-            for i, value in enumerate(grid):
-                check_real(value, f"{name}[{i}]", 0)
+            store(name, tuple(check_real(value, f"{name}[{i}]", 0) for i, value in enumerate(grid)))
 
 
 @dataclass
@@ -307,7 +309,6 @@ def select(X, framework: str = "boundary", cfg: SelectionConfig | None = None,
     """
     check_choice(framework, "framework", tuple(MODELS))
     cfg = cfg or SelectionConfig()
-    cfg.validate()
     check_int(seed, "seed", 0)
     X = as_samples(X)
     N = X.shape[0]

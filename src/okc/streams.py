@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyTargetError, FormatError, SchemaError, SpecError, check_choice, check_int, check_real
+from .errors import (EmptyTargetError, FormatError, InvalidInputError, SchemaError, SpecError, check_choice, check_int,
+                     check_real)
 
 FAMILIES = ("ring", "unimodal_drift", "multimodal_drift", "rotating")
 
@@ -59,9 +60,13 @@ class Dataset:
         return map(LabeledSample, self.X, self.y.tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftStreamSpec:
-    """Parametric description of a labeled synthetic stream.
+    """Parametric description of a labeled synthetic stream, checked when made:
+    SpecError refuses a field of the wrong type, or out of its range. Every
+    field is checked for its type and finiteness and held as its check returns
+    it (a vector as a tuple of floats); the mode, rotation and ring parameters
+    are checked for their range only in their family, and a ring is 2-D.
 
     ``velocity`` is the displacement of the target-class mean per drift step;
     ``class_offset`` positions the outlier class relative to the target class.
@@ -76,10 +81,10 @@ class DriftStreamSpec:
     class_balance: float = 0.5
     seed: int = 0
     spread: float = 1.0
-    velocity: list[float] | None = None
+    velocity: tuple[float, ...] | None = None
     wave_amplitude: float = 0.0
     wave_period: float = 25.0
-    class_offset: list[float] | None = None
+    class_offset: tuple[float, ...] | None = None
     mode_count: int = 2
     mode_spacing: float = 6.0
     dominance_period: int = 10
@@ -89,36 +94,34 @@ class DriftStreamSpec:
     r_inner: float = 1.0
     r_outer: float = 2.0
 
-    def validate(self) -> None:
-        """Refuse a field of the wrong type, or out of its range, with SpecError.
-        Every field is checked for its type and finiteness; the mode, rotation
-        and ring parameters are checked for their range only in their family."""
+    def __post_init__(self):
+        store = super().__setattr__  # the frozen class's own __setattr__ refuses
         check_choice(self.family, "family", FAMILIES, error=SpecError)
         ring, rotating, multimodal = (self.family == f for f in ("ring", "rotating", "multimodal_drift"))
-        check_int(self.n_dims, "n_dims", 2 if ring or rotating else 1, error=SpecError)
-        check_int(self.total, "total", 1, error=SpecError)
-        check_int(self.drift_period, "drift_period", 1, error=SpecError)
-        check_int(self.seed, "seed", 0, error=SpecError)
-        check_int(self.mode_count, "mode_count", 2 if multimodal else -math.inf, error=SpecError)
-        check_int(self.dominance_period, "dominance_period", 1 if multimodal else -math.inf, error=SpecError)
-        check_real(self.class_balance, "class_balance", 0, 1, error=SpecError)
-        check_real(self.dominant_weight, "dominant_weight", 0 if multimodal else -math.inf,
-                   1 if multimodal else math.inf, error=SpecError)
+        for name, minimum in (("n_dims", 2 if ring or rotating else 1), ("total", 1), ("drift_period", 1), ("seed", 0),
+                              ("mode_count", 2 if multimodal else -math.inf),
+                              ("dominance_period", 1 if multimodal else -math.inf)):
+            store(name, check_int(getattr(self, name), name, minimum, error=SpecError))
+        if ring and self.n_dims != 2:
+            raise SpecError(f"the ring family is 2-D: n_dims must be 2, got {self.n_dims}")
+        store("class_balance", check_real(self.class_balance, "class_balance", 0, 1, error=SpecError))
+        store("dominant_weight", check_real(self.dominant_weight, "dominant_weight", 0 if multimodal else -math.inf,
+                                            1 if multimodal else math.inf, error=SpecError))
         for name in ("spread", "wave_period"):
-            check_real(getattr(self, name), name, 0, error=SpecError)
-        check_real(self.rotation_period, "rotation_period", 0 if rotating else -math.inf, error=SpecError)
-        check_real(self.r_inner, "r_inner", 0 if ring else -math.inf, error=SpecError)
-        check_real(self.r_outer, "r_outer", self.r_inner if ring else -math.inf, error=SpecError)
+            store(name, check_real(getattr(self, name), name, 0, error=SpecError))
+        store("rotation_period", check_real(self.rotation_period, "rotation_period",
+                                            0 if rotating else -math.inf, error=SpecError))
+        store("r_inner", check_real(self.r_inner, "r_inner", 0 if ring else -math.inf, error=SpecError))
+        store("r_outer", check_real(self.r_outer, "r_outer", self.r_inner if ring else -math.inf, error=SpecError))
         for name in ("wave_amplitude", "mode_spacing", "orbit_radius"):
-            check_real(getattr(self, name), name, error=SpecError)
+            store(name, check_real(getattr(self, name), name, error=SpecError))
         for name in ("velocity", "class_offset"):
             vec = getattr(self, name)
             if vec is None:
                 continue
             if not isinstance(vec, (list, tuple, np.ndarray)) or len(vec) != self.n_dims:
                 raise SpecError(f"{name} must be null or a list of {self.n_dims} numbers, got {vec!r}")
-            for i, value in enumerate(vec):
-                check_real(value, f"{name}[{i}]", error=SpecError)
+            store(name, tuple(check_real(value, f"{name}[{i}]", error=SpecError) for i, value in enumerate(vec)))
 
     def _velocity(self) -> np.ndarray:
         return np.zeros(self.n_dims) if self.velocity is None else np.asarray(self.velocity, float)
@@ -148,9 +151,8 @@ def gen_ring(n: int, r_inner: float, r_outer: float, seed: int = 0) -> Dataset:
 def gen_stream(spec: DriftStreamSpec) -> Dataset:
     """Generate the labeled stream described by ``spec``, in stream order.
 
-    Raises SpecError when ``spec`` is invalid or its features overflow.
+    Raises SpecError when the stream's features overflow.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     total, dims = spec.total, spec.n_dims
     labels = np.where(rng.random(total) < spec.class_balance, 1, -1)
@@ -216,15 +218,31 @@ def _mode_offsets(spec, rng, steps) -> np.ndarray:
     return offsets
 
 
-@dataclass
+def check_delimiter(delimiter) -> str:
+    """``delimiter``, if the csv module can split on it; else InvalidInputError."""
+    try:
+        csv.reader([], delimiter=delimiter)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"unusable CSV delimiter {delimiter!r}: {exc}") from None
+    return delimiter
+
+
+@dataclass(frozen=True)
 class DatasetSchema:
-    """How to read a labeled CSV: its delimiter, where the label lives, and
-    whether the first row is a header."""
+    """How to read a labeled CSV: its delimiter, where the label lives (a
+    column index, or a header name), and whether the first row is a header.
+    Checked when made: an unusable delimiter or a label column that is neither
+    text nor an integer raises InvalidInputError."""
 
     path: str | Path = ""
     delimiter: str = ","
     label_column: int | str = -1
     header: bool = False
+
+    def __post_init__(self):
+        check_delimiter(self.delimiter)
+        if not isinstance(self.label_column, str):
+            super().__setattr__("label_column", check_int(self.label_column, "label_column"))
 
 
 def _parse_raw_label(label):

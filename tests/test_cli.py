@@ -165,6 +165,29 @@ def test_select_out_of_memory_exits_1(blob_csv, tmp_path, capsys, monkeypatch, c
     assert err.startswith(f"error: out of memory selecting on {rows} rows") and "Traceback" not in err
 
 
+NO_MEMORY = "Unable to allocate 11.9 GiB for an array with shape (40000, 40000) and data type float64"
+
+
+@pytest.mark.parametrize("command, callee", [("gen", "gen_stream"), ("run", "run_stream"),
+                                             ("bench", "slide_benchmark")])
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, command, callee):
+    # an array too large for the machine: one line, no traceback. The callee
+    # raises as NumPy does; no test allocates for real, since under
+    # overcommit a huge allocation can succeed and end the run later.
+    def no_memory(*args, **kwargs):
+        raise MemoryError(NO_MEMORY)
+
+    monkeypatch.setattr(okc.cli, callee, no_memory)
+    spec = str(write_spec(tmp_path, RING_SPEC))
+    argv = {"gen": ["gen", spec, str(tmp_path / "o.csv")],
+            "run": ["run", spec, "--sigma", "1", "--out", str(tmp_path)],
+            "bench": ["bench"]}[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: out of memory: {NO_MEMORY}\n"
+
+
 # ---- run --------------------------------------------------------------------
 
 
@@ -371,6 +394,15 @@ def test_version_prints_version(capsys):
     code, out, err = run_cli(["version"], capsys)
     assert code == 0
     assert out.strip()
+
+
+def test_import_leaves_package_metadata_unloaded():
+    # only `okc version` reads the package metadata; every other command
+    # would pay for the import
+    code = "import sys, okc.cli; print('importlib.metadata' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_documents_experiment_defaults(capsys):

@@ -57,7 +57,7 @@ def test_run_config_value_error_is_the_library_message(tmp_path, capsys, doc):
     # the CLI has no type rule of its own: RunConfig checks every --config value
     settings = {("lam" if k == "lambda" else k): v for k, v in (RUN_DEFAULTS | doc).items()}
     with pytest.raises(InvalidInputError) as exc:
-        RunConfig(**settings).validate()
+        RunConfig(**settings)
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))
     cfg = write(tmp_path, "run.json", json.dumps(doc))
     err = usage_error(["run", spec, "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -96,6 +96,7 @@ def test_protocol_flag_is_a_usage_error(tmp_path, capsys):
     ({"family": "ring", "total": 100, "seed": -1}, "seed must be >= 0, got -1"),
     ({"family": "ring", "total": 100, "n_dims": 2.0}, "n_dims must be an integer, got 2.0"),
     ({"family": "ring", "total": True}, "total must be an integer, got True"),
+    ({"family": "ring", "total": 10, "n_dims": 5}, "the ring family is 2-D: n_dims must be 2, got 5"),
 ])
 def test_spec_wrong_type_exits_2(tmp_path, capsys, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(doc))

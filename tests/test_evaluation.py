@@ -1,4 +1,5 @@
-from dataclasses import asdict
+import json
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from okc import (
     Dataset,
+    DatasetSchema,
     DriftStreamSpec,
     InsufficientDataError,
     InvalidInputError,
@@ -119,22 +121,64 @@ def test_stepwise_too_few_samples():
 
 def test_runconfig_validation():
     with pytest.raises(InvalidInputError):
-        RunConfig(mode="sliding", window=50, chunk=50).validate()
+        RunConfig(mode="sliding", window=50, chunk=50)
     with pytest.raises(InvalidInputError):
-        RunConfig(runs=0).validate()
+        RunConfig(runs=0)
     with pytest.raises(InvalidInputError):
-        RunConfig(framework="knn").validate()
+        RunConfig(framework="knn")
     with pytest.raises(InvalidInputError):
-        RunConfig(sigma=-1.0).validate()
-    RunConfig(mode="static", window=50, chunk=50).validate()  # chunk unused in static
-    RunConfig(mode="stationary", window=10, chunk=50).validate()  # and in stationary
+        RunConfig(sigma=-1.0)
+    RunConfig(mode="static", window=50, chunk=50)  # chunk unused in static
+    RunConfig(mode="stationary", window=10, chunk=50)  # and in stationary
 
 
 @pytest.mark.parametrize("bad", [{"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": "wide"},
                                  {"lam": float("nan")}, {"lam": float("inf")}])
 def test_runconfig_rejects_non_finite_or_non_numeric_hyperparameters(bad):
     with pytest.raises(InvalidInputError):
-        RunConfig(**bad).validate()
+        RunConfig(**bad)
+
+
+@pytest.mark.parametrize("settings, name", [(RunConfig(), "window"), (SelectionConfig(), "lambdas"),
+                                            (DriftStreamSpec(), "total"), (DatasetSchema(), "delimiter"),
+                                            (KernelSpec(), "sigma")],
+                         ids=["RunConfig", "SelectionConfig", "DriftStreamSpec", "DatasetSchema", "KernelSpec"])
+def test_settings_cannot_change_once_checked(settings, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(settings, name, getattr(settings, name))
+
+
+def test_settings_hold_the_values_their_checks_return():
+    # NumPy scalars and arrays are accepted as numbers and held as Python ones
+    cfg = RunConfig(window=np.int64(150), chunk=np.int32(50), eta=np.float32(0.5), lam=10, sigma=np.float32(2.0),
+                    runs=np.int64(2), seed=np.uint8(3))
+    assert asdict(cfg) == {"framework": "boundary", "mode": "sliding", "window": 150, "chunk": 50, "eta": 0.5,
+                           "lam": 10.0, "sigma": 2.0, "runs": 2, "seed": 3}
+    assert [type(v) for v in asdict(cfg).values()] == [str, str, int, int, float, float, float, int, int]
+    sel = SelectionConfig(folds=np.int64(3), sigma_thr=1, eta=np.float64(0.1), lambdas=[1, np.float32(10.0)],
+                          sigmas=np.array([0.5, 2.0]))
+    assert (sel.folds, sel.sigma_thr, sel.lambdas, sel.sigmas) == (3, 1.0, (1.0, 10.0), (0.5, 2.0))
+    assert {type(v) for v in (sel.sigma_thr, sel.eta, *sel.lambdas, *sel.sigmas)} == {float}
+    spec = DriftStreamSpec(total=np.int64(10), spread=np.float32(2.0), velocity=[1, 0],
+                           class_offset=np.array([3.0, 0.0]))
+    assert (spec.total, spec.spread, spec.velocity, spec.class_offset) == (10, 2.0, (1.0, 0.0), (3.0, 0.0))
+    assert {type(v) for v in (spec.spread, *spec.velocity, *spec.class_offset)} == {float}
+    assert type(spec.total) is int
+    assert type(DatasetSchema(label_column=np.int64(2)).label_column) is int
+    assert type(KernelSpec(np.float32(2.0)).sigma) is float
+
+
+def test_numpy_typed_run_config_report_writes_python_numbers(tmp_path):
+    # the report's config is the checked RunConfig, so NumPy scalars given
+    # as settings reach the JSON as plain numbers
+    cfg = RunConfig(window=np.int64(150), chunk=np.int64(50), sigma=np.float32(2.0), lam=10.0)
+    report = run_stream(two_blob_dataset(n=600, seed=2), cfg)
+    report.write_json(tmp_path / "report.json")
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config == {"framework": "boundary", "mode": "sliding", "window": 150, "chunk": 50, "eta": 0.05,
+                      "lambda": 10.0, "sigma": 2.0, "runs": 1, "seed": 0, "resolved_lambda": 10.0,
+                      "resolved_sigma": 2.0}
+    assert [type(v) for v in config.values()] == [str, str, int, int, float, float, float, int, int, float, float]
 
 
 def _snapshot_with(**changes):
@@ -151,9 +195,9 @@ BLOBS = np.random.default_rng(1).normal(size=(20, 2))
     (lambda: stepwise_accuracy(np.ones(10), 0), InvalidInputError),
     (lambda: KernelSpec("a"), InvalidInputError),
     (lambda: RegGramState(np.eye(3), 1.0, KernelSpec()).retract(2.5), InvalidInputError),
-    (lambda: RunConfig(window="a").validate(), InvalidInputError),
-    (lambda: RunConfig(eta="x").validate(), InvalidInputError),
-    (lambda: RunConfig(lam="x").validate(), InvalidInputError),
+    (lambda: RunConfig(window="a"), InvalidInputError),
+    (lambda: RunConfig(eta="x"), InvalidInputError),
+    (lambda: RunConfig(lam="x"), InvalidInputError),
     # each raised a bare TypeError or ValueError
     (lambda: gen_ring(2.5, 1, 2), SpecError),
     (lambda: gen_ring(5, 1, 2, seed=-1), SpecError),
@@ -167,14 +211,14 @@ BLOBS = np.random.default_rng(1).normal(size=(20, 2))
     (lambda: slide_benchmark(window="a"), InvalidInputError),
     (lambda: select(BLOBS, framework=[]), InvalidInputError),
     (lambda: select(BLOBS, seed=1.5), InvalidInputError),
-    (lambda: SelectionConfig(folds="a").validate(), InvalidInputError),
-    (lambda: SelectionConfig(eta="a").validate(), InvalidInputError),
+    (lambda: SelectionConfig(folds="a"), InvalidInputError),
+    (lambda: SelectionConfig(eta="a"), InvalidInputError),
     (lambda: stepwise_accuracy(np.ones(10), "a"), InvalidInputError),
     (lambda: sigma_grid(BLOBS, "a"), InvalidInputError),
     # each was accepted
     (lambda: select(BLOBS, cfg=SelectionConfig(folds=2.5)), InvalidInputError),
-    (lambda: RunConfig(eta=True).validate(), InvalidInputError),
-    (lambda: RunConfig(lam=True).validate(), InvalidInputError),
+    (lambda: RunConfig(eta=True), InvalidInputError),
+    (lambda: RunConfig(lam=True), InvalidInputError),
     (lambda: KernelSpec(True), InvalidInputError),
     (lambda: gen_stream(DriftStreamSpec(drift_period=2.5)), SpecError),
     (lambda: gen_stream(DriftStreamSpec(spread=True)), SpecError),
@@ -209,7 +253,7 @@ def test_runner_refuses_the_other_modes(runner, mode):
 
 def test_negative_seed_is_refused_before_any_random_draw():
     with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
-        RunConfig(seed=-1).validate()
+        RunConfig(seed=-1)
     with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
         select(np.random.default_rng(0).normal(size=(20, 2)), seed=-1)
     with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
@@ -220,7 +264,7 @@ def test_negative_seed_is_refused_before_any_random_draw():
                                  {"sigmas": [float("nan")]}, {"sigmas": [0.5, float("inf")]}])
 def test_selectionconfig_rejects_non_finite_grids(bad):
     with pytest.raises(InvalidInputError):
-        SelectionConfig(**bad).validate()
+        SelectionConfig(**bad)
 
 
 # ---- stationary protocol ----------------------------------------------------

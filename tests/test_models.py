@@ -363,6 +363,19 @@ def test_snapshot_round_trip(tmp_path, framework):
     np.testing.assert_allclose(loaded.scores(probes), m.scores(probes), atol=1e-12)
 
 
+def test_snapshot_round_trip_of_a_numpy_float_sigma(tmp_path):
+    # KernelSpec holds sigma as the float its check returns, so it serializes
+    rng = np.random.default_rng(19)
+    m = fit_boundary(RegGramState(rng.normal(size=(20, 2)), 5.0, KernelSpec(sigma=np.float32(2.0))), 0.1)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    loaded = load_model(path)
+    assert loaded.state.kernel == KernelSpec(2.0)
+    assert loaded.theta == m.theta
+    probes = rng.normal(size=(50, 2))
+    np.testing.assert_allclose(loaded.scores(probes), m.scores(probes), atol=1e-12)
+
+
 def test_snapshot_rejects_unknown_version():
     rng = np.random.default_rng(18)
     m = fit_boundary(make_state(rng, 10), 0.1)

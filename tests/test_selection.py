@@ -51,7 +51,7 @@ def test_non_finite_or_negative_sigma_thr_is_refused(sigma_thr):
     with pytest.raises(InvalidInputError, match=r"sigma_thr must lie in \[0, inf\)"):
         consistency_threshold(20, 0.05, sigma_thr)
     with pytest.raises(InvalidInputError, match=r"sigma_thr must lie in \[0, inf\)"):
-        SelectionConfig(sigma_thr=sigma_thr).validate()
+        SelectionConfig(sigma_thr=sigma_thr)
 
 
 def test_threshold_reference_value():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from okc import (
     DriftStreamSpec,
     EmptyTargetError,
     FormatError,
+    InvalidInputError,
     SchemaError,
     SpecError,
     gen_ring,
@@ -159,6 +161,12 @@ def test_spec_validation_errors():
         gen_stream(DriftStreamSpec(family="ring", r_inner=3.0, r_outer=1.0))
 
 
+@pytest.mark.parametrize("n_dims", [3, 5])
+def test_ring_family_is_two_dimensional(n_dims):
+    with pytest.raises(SpecError, match=rf"^the ring family is 2-D: n_dims must be 2, got {n_dims}$"):
+        gen_stream(DriftStreamSpec(family="ring", n_dims=n_dims, total=10))
+
+
 # ---- CSV ingestion ----------------------------------------------------------
 
 
@@ -186,6 +194,19 @@ def test_load_csv_keeps_raw_labels_without_target(tmp_path):
     samples = load_csv(DatasetSchema(path=path))
     assert samples[0].label == 3
     assert samples[1].label == "jack"
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"delimiter": ""}, "unusable CSV delimiter ''"),
+    ({"delimiter": ";;"}, "unusable CSV delimiter ';;'"),
+    ({"label_column": 1.5}, "label_column must be an integer, got 1.5"),
+    ({"label_column": None}, "label_column must be an integer, got None"),
+], ids=["delimiter-empty", "delimiter-two-characters", "label_column-float", "label_column-None"])
+def test_malformed_schema_is_refused_when_made(tmp_path, bad, named):
+    p = tmp_path / "d.csv"
+    p.write_text("0.0,1.0,1\n")
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
+        load_csv(DatasetSchema(p, **bad))
 
 
 def test_load_csv_non_numeric_feature_names_line(tmp_path):
