@@ -33,17 +33,18 @@ update (Van Vaerenbergh, Via and Santamaria, 2006).
 
 One triangle. ``p`` is symmetric, and only its lower triangle, diagonal
 included, enters any computation; the strict upper triangle of its buffer
-holds stale values that no result depends on. The downdate of a forget is not
-written at once: the state holds ``p = C - y y^T``, with ``C`` the stored
-triangle and ``y`` the downdate factors of every forget since the last write.
-The next extension writes ``p`` once, into a spare buffer: copy the kept
-block of ``C``, ``syrk`` ``-y y^T`` into its triangle in place, take ``t =
-symm(p, Phi_uv)`` from it, form and factor ``S`` where ``P22`` goes, ``syrk``
-``+z z^T`` and add the new rows. A slide therefore passes over the W x W
-triangle a few times and allocates nothing of that size. The spare buffer
-joins the state only after every factorization has passed, so a refused
-chunk leaves the state as it was. The BLAS and LAPACK calls come from :mod:`okc._blas`, which binds
-NumPy's own OpenBLAS or falls back to NumPy.
+holds stale values that no result depends on. ``p`` is the top-left corner of
+the state's buffer. A forget writes its downdate at once, into a spare buffer
+with room for the window as it was: copy the kept block of ``p`` to its
+top-left corner, ``syrk`` ``-y y^T`` into its triangle and swap the buffers.
+An extension then works in place: take ``t = symm(p, Phi_uv)``, form and
+factor ``S`` in the rows below ``p``, where ``P22`` goes, and only once the
+factor has passed ``syrk`` ``+z z^T`` into ``p`` and write the new rows. It
+moves to a fresh buffer only when the buffer has no room for them. A slide
+therefore passes over the W x W triangle a few times and allocates nothing of
+that size; its forget wrote only into the spare, so a refused chunk leaves
+the state as it was. The BLAS and LAPACK calls come from :mod:`okc._blas`,
+which binds NumPy's own OpenBLAS or falls back to NumPy.
 
 The window and ``p`` are the whole state: ``p`` is never re-inverted from
 scratch, because its round-off stays flat over thousands of slides. The test
@@ -146,10 +147,10 @@ class RegGramState:
     The constructor appends ``X0`` to an empty window by ``extend``'s Schur
     step, whose complement is then ``phi`` itself; afterwards ``retract``,
     ``extend`` and ``slide`` keep ``p`` in sync with the window without any
-    full-size factorization, and ``phi`` is never stored. ``p`` is held as one
-    triangle plus pending downdate factors (module docstring); ``solve``
-    applies it, and the ``p`` property builds the full matrix. The state is
-    owned by a single writer.
+    full-size factorization, and ``phi`` is never stored. ``p`` is one triangle
+    in a buffer, and a forget writes into a spare one (module docstring);
+    ``solve`` applies it, and the ``p`` property builds the full matrix. The
+    state is owned by a single writer.
 
     Parameters
     ----------
@@ -176,9 +177,8 @@ class RegGramState:
             raise InvalidInputError("initial window must contain at least one sample")
         self.kernel = kernel
         self.window = X0[:0]
-        # p = tril(_c) - _y _y^T; _c is a view into _buf, _y has one column per pending forget
-        self._buf = self._spare = self._c = np.zeros((0, 0))
-        self._y = np.zeros((0, 0))
+        # p is the lower triangle of _buf[:size, :size]; a forget writes into _spare
+        self._buf = self._spare = np.zeros((0, 0))
         self._append(X0, "regularized Gram matrix")
 
     @property
@@ -189,23 +189,18 @@ class RegGramState:
     def p(self) -> np.ndarray:
         """The full, exactly symmetric inverse, built afresh from the stored
         triangle: a copy for tests and diagnostics that no update reads."""
-        return _blas.full(self._c) - self._y @ self._y.T
+        return _blas.full(self._buf[: self.size, : self.size])
 
     def solve(self, b) -> np.ndarray:
         """``phi^-1 b = p b`` for a vector or a matrix ``b`` with one row per window sample."""
-        b = np.asarray(b, dtype=float)
-        out = _blas.symm(self._c, b)
-        if self._y.shape[1]:
-            out -= self._y @ (self._y.T @ b)
-        return out
+        return _blas.symm(self._buf[: self.size, : self.size], np.asarray(b, dtype=float))
 
     def extend(self, Xv) -> "RegGramState":
         """Append samples to the window and write ``p`` via the Schur block.
 
-        Only the s x s Schur complement is factored. The new ``p`` is built
-        in the spare buffer, which joins the state only once the factor has
-        passed, so a refused chunk changes nothing. Any downdate pending from
-        ``retract`` is applied in the same pass.
+        Only the s x s Schur complement is factored, in the rows below ``p``;
+        ``p`` and the new rows are written only once the factor has passed,
+        so a refused chunk changes nothing.
         """
         Xv = as_samples(Xv)
         if Xv.shape[0]:
@@ -214,19 +209,17 @@ class RegGramState:
 
     def _append(self, Xv: np.ndarray, what: str) -> None:
         # extend's Schur step for s >= 1 samples; ``what`` names S in a refusal.
-        # S is formed and factored in its place in the spare buffer, where P22
-        # goes; on the empty window (h = 0) S is phi.
-        s = Xv.shape[0]
-        c, y, h, m = self._c, self._y, self.size, self.size + s
+        # S is formed and factored in its place in the buffer, where P22 goes;
+        # on the empty window (h = 0) S is phi.
+        h, m = self.size, self.size + Xv.shape[0]
         phi_uv = gram(self.kernel, self.window, Xv)  # (h, s); refuses a chunk of another width
 
-        # reuse the spare buffer unless it is too small or over twice the size
-        buf = self._spare if m <= len(self._spare) <= 2 * m else np.zeros((m, m))
+        buf = self._buf
+        if len(buf) < m:  # no room for the new rows: move p to a fresh buffer
+            buf = np.zeros((m, m))
+            buf[:h, :h] = self._buf[:h, :h]
         q = buf[:m, :m]
         p11, S = q[:h, :h], q[h:, h:]
-        p11[...] = c
-        if y.shape[1]:
-            _blas.syrk(-1.0, y, p11)  # now p11 = p
         t = _blas.symm(p11, phi_uv)  # (h, s)
         S[...] = gram(self.kernel, Xv)
         _regularize(S, self.lam)
@@ -237,43 +230,43 @@ class RegGramState:
         q[h:, :h] = (z @ -g).T
         q[h:, h:] = p22
 
-        self._buf, self._spare = buf, self._buf
-        self._c, self._y = q, np.zeros((m, 0))
+        self._buf = buf
         self.window = np.vstack([self.window, Xv])
 
     def retract(self, f: int) -> "RegGramState":
         """Forget the oldest ``f`` samples. Their f x f block of ``p`` is
-        factored now; the downdate ``-y y^T`` waits for the next write."""
+        factored, and the downdated ``p`` is written into the spare buffer,
+        which then becomes the state's."""
         check_int(f, "f")
-        if not 1 <= f < self.size:
-            raise WindowUnderflowError(f"cannot retract {f} of {self.size} window samples")
-        c, y = self._c, self._y
-        lead, below = c[:f, :f].copy(), c[f:, :f]  # the factorization overwrites lead
-        if y.shape[1]:  # an earlier forget is still pending
-            lead -= y[:f] @ y[:f].T
-            below = below - y[f:] @ y[:f].T
-        g, _ = _inverse_factor(lead, "leading inverse block")
-        y_new = below @ g.T
-
-        self._c = c[f:, f:]
-        self._y = np.hstack([y[f:], y_new]) if y.shape[1] else y_new
+        h = self.size
+        if not 1 <= f < h:
+            raise WindowUnderflowError(f"cannot retract {f} of {h} window samples")
+        p = self._buf[:h, :h]
+        g, _ = _inverse_factor(p[:f, :f].copy(), "leading inverse block")  # factored in place: a copy
+        y = p[f:, :f] @ g.T
+        # the spare keeps room for the window as it was, so a slide's extend fits
+        spare = self._spare if len(self._spare) >= h else np.zeros((h, h))
+        kept = spare[: h - f, : h - f]
+        kept[...] = p[f:, f:]
+        _blas.syrk(-1.0, y, kept)
+        self._buf, self._spare = spare, self._buf
         self.window = self.window[f:]
         return self
 
     def slide(self, Xv) -> "RegGramState":
         """Forget as many of the oldest samples as ``Xv`` holds and append
-        ``Xv``: ``retract`` then ``extend``, with one write of ``p``. A chunk
-        that either refuses leaves the state as it was."""
+        ``Xv``: ``retract`` then ``extend``. A chunk that either refuses
+        leaves the state as it was."""
         Xv = as_samples(Xv)
         if Xv.shape[0] == 0:
             return self
-        # retract only reassigns these three and extend writes nothing before it succeeds
-        before = self.window, self._c, self._y
+        # retract writes only into the spare and extend nothing of p before it succeeds
+        before = self.window, self._buf, self._spare
         self.retract(Xv.shape[0])
         try:
             self.extend(Xv)
         except OkcError:
-            self.window, self._c, self._y = before
+            self.window, self._buf, self._spare = before
             raise
         return self
 

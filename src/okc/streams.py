@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,8 +232,9 @@ def check_delimiter(delimiter) -> str:
 class DatasetSchema:
     """How to read a labeled CSV: its delimiter, where the label lives (a
     column index, or a header name), and whether the first row is a header.
-    Checked when made: an unusable delimiter or a label column that is neither
-    text nor an integer raises InvalidInputError."""
+    Checked when made: a path that is neither text nor path-like, an unusable
+    delimiter, a label column that is neither text nor an integer, or a header
+    flag that is not a bool raises InvalidInputError."""
 
     path: str | Path = ""
     delimiter: str = ","
@@ -240,9 +242,13 @@ class DatasetSchema:
     header: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise InvalidInputError(f"path must be text or a path, got {self.path!r}")
         check_delimiter(self.delimiter)
         if not isinstance(self.label_column, str):
             super().__setattr__("label_column", check_int(self.label_column, "label_column"))
+        if not isinstance(self.header, bool):
+            raise InvalidInputError(f"header must be a bool, got {self.header!r}")
 
 
 def _parse_raw_label(label):

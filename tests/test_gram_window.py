@@ -15,6 +15,7 @@ from okc import (
     KernelSpec,
     RegGramState,
     WindowUnderflowError,
+    _blas,
     direct_inverse_oracle,
     gen_stream,
     gram,
@@ -169,7 +170,8 @@ def test_interleaved_extend_retract_matches_oracle(lam):
 
 
 def test_solve_applies_pending_downdates():
-    # two forgets in a row stay pending until the next extension writes p
+    # two forgets in a row each write their downdate; solve and the next
+    # extension read the twice-downdated p
     rng = np.random.default_rng(21)
     st = random_state(rng, 60, 3, 10.0)
     st.retract(7)
@@ -190,12 +192,28 @@ def test_solve_applies_pending_downdates():
 def test_refused_slide_leaves_state_as_it_was(chunk, error):
     rng = np.random.default_rng(22)
     st = random_state(rng, 60, 3, 10.0)
-    st.retract(4)  # a pending forget stays pending
+    st.retract(4)  # the spare buffer now holds the p before this forget
     window, p = st.window.copy(), st.p
     with pytest.raises(error):
         st.slide(chunk)
     assert np.array_equal(st.window, window)
     assert np.array_equal(st.p, p)
+
+
+def test_slide_equals_retract_then_extend_exactly():
+    rng = np.random.default_rng(23)
+    X = scattered(rng, 80, 3)
+    slid, stepped = RegGramState(X, 1e3, K1), RegGramState(X, 1e3, K1)
+    for s in (10, 10, 25, 1, 40):
+        chunk = scattered(rng, s, 3)
+        slid.slide(chunk)
+        stepped.retract(s)
+        stepped.extend(chunk)
+        b = rng.normal(size=(slid.size, 2))
+        assert np.array_equal(slid.window, stepped.window)
+        assert np.array_equal(slid.p, stepped.p)
+        assert np.array_equal(slid.solve(b), stepped.solve(b))
+        assert np.array_equal(slid.solve(b[:, 0]), stepped.solve(b[:, 0]))
 
 
 def test_inverse_residual_small_after_operations():
@@ -323,6 +341,25 @@ def test_first_fill_peaks_below_three_and_a_half_window_squares():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * W * W, peak / (8 * W * W)
+
+
+def test_steady_state_slide_allocates_less_than_one_window_square():
+    # after a warm-up slide both buffers exist, and a slide writes p into
+    # them without allocating a W x W array
+    if _blas.syrk is _blas._syrk_numpy:
+        pytest.skip("the NumPy fallback's syrk forms a window-sized product")
+    W, s = 400, 50
+    rng = np.random.default_rng(0)
+    st = RegGramState(rng.normal(size=(W, 2)), 1e3, K1)
+    warm_up, chunk = rng.normal(size=(2, s, 2))
+    st.slide(warm_up)
+    tracemalloc.start()
+    try:
+        st.slide(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * W * W, peak / (8 * W * W)
 
 
 class SlidingWindowMachine(RuleBasedStateMachine):

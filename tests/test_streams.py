@@ -201,12 +201,17 @@ def test_load_csv_keeps_raw_labels_without_target(tmp_path):
     ({"delimiter": ";;"}, "unusable CSV delimiter ';;'"),
     ({"label_column": 1.5}, "label_column must be an integer, got 1.5"),
     ({"label_column": None}, "label_column must be an integer, got None"),
-], ids=["delimiter-empty", "delimiter-two-characters", "label_column-float", "label_column-None"])
+    ({"header": "no"}, "header must be a bool, got 'no'"),
+    ({"header": 1}, "header must be a bool, got 1"),
+    ({"path": None}, "path must be text or a path, got None"),
+    ({"path": b"d.csv"}, "path must be text or a path, got b'd.csv'"),
+], ids=["delimiter-empty", "delimiter-two-characters", "label_column-float", "label_column-None", "header-text",
+        "header-int", "path-None", "path-bytes"])
 def test_malformed_schema_is_refused_when_made(tmp_path, bad, named):
     p = tmp_path / "d.csv"
     p.write_text("0.0,1.0,1\n")
     with pytest.raises(InvalidInputError, match=f"^{re.escape(named)}"):
-        load_csv(DatasetSchema(p, **bad))
+        load_csv(DatasetSchema(**{"path": p, **bad}))
 
 
 def test_load_csv_non_numeric_feature_names_line(tmp_path):
