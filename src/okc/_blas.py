@@ -9,11 +9,12 @@ OpenBLAS that NumPy itself loaded: its wheels bundle one, with 64-bit
 integers, under ``numpy.libs`` (``numpy/.dylibs`` on macOS). The file is
 opened with ``RTLD_NOLOAD``, which returns a handle only to a library already
 mapped into the process, so this module never loads a second BLAS;
-``OPENBLAS_NUM_THREADS`` governs these calls as it governs NumPy's own. Each
-primitive whose symbol is not found (an MKL or Accelerate NumPy, a
-32-bit-integer OpenBLAS, a platform without ``RTLD_NOLOAD``) falls back to a
-NumPy expression with the same contract, listed in ``FALLBACKS``. ``LIBRARY``
-is the bound file, or None.
+``OPENBLAS_NUM_THREADS`` governs these calls as it governs NumPy's own. The
+primitives are bound all from that library or none: where any of its symbols
+is not found (an MKL or Accelerate NumPy, a 32-bit-integer OpenBLAS, a
+platform without ``RTLD_NOLOAD``), every primitive is a NumPy expression with
+the same contract, listed in ``FALLBACKS``. ``LIBRARY`` is the bound file, or
+None.
 
 Matrices are float64 and row-major with unit column stride; an output may be a
 strided view into a larger buffer. A symmetric or triangular matrix is its
@@ -137,7 +138,8 @@ def _ld(a: np.ndarray) -> int:
 
 
 def _bind():
-    """``(path, {name: function})`` for the NumPy-mapped OpenBLAS, or ``(None, {})``."""
+    """``(path, {name: function})`` for the NumPy-mapped OpenBLAS, or ``(None,
+    {})`` unless it has every symbol of ``_SIGNATURES``."""
     no_load = getattr(os, "RTLD_NOLOAD", None)
     if no_load is None:
         return None, {}
@@ -155,7 +157,7 @@ def _bind():
                     fn.restype, fn.argtypes = restype, argtypes
                     found[name] = fn
                     break
-        if found:
+        if found.keys() == _SIGNATURES.keys():
             return str(path), found
     return None, {}
 
@@ -252,16 +254,10 @@ def _ptsv_lapack(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# each primitive is the BLAS or LAPACK call where its symbol was found, else its
-# NumPy fallback; the two share the fallback's contract
-syrk = _syrk_blas if "cblas_dsyrk" in _native else _syrk_numpy
-symm = _symm_blas if {"cblas_dsymm", "cblas_dsymv"} <= _native.keys() else _symm_numpy
-potrf = _potrf_lapack if "LAPACKE_dpotrf" in _native else _potrf_numpy
-trtri = _trtri_lapack if "LAPACKE_dtrtri" in _native else _trtri_numpy
-# ormtr reads only the q its own sytrd made, so the two are bound together
-if {"LAPACKE_dsytrd", "LAPACKE_dormtr"} <= _native.keys():
-    sytrd, ormtr = _sytrd_lapack, _ormtr_lapack
+# the BLAS and LAPACK calls share the fallbacks' contract
+if _native:
+    syrk, symm, potrf, trtri = _syrk_blas, _symm_blas, _potrf_lapack, _trtri_lapack
+    sytrd, ormtr, stebz, ptsv = _sytrd_lapack, _ormtr_lapack, _stebz_lapack, _ptsv_lapack
 else:
-    sytrd, ormtr = _sytrd_numpy, _ormtr_numpy
-stebz = _stebz_lapack if "LAPACKE_dstebz" in _native else _stebz_numpy
-ptsv = _ptsv_lapack if "LAPACKE_dptsv" in _native else _ptsv_numpy
+    syrk, symm, potrf, trtri = _syrk_numpy, _symm_numpy, _potrf_numpy, _trtri_numpy
+    sytrd, ormtr, stebz, ptsv = _sytrd_numpy, _ormtr_numpy, _stebz_numpy, _ptsv_numpy

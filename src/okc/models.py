@@ -2,24 +2,23 @@
 
 Both frameworks solve one regularized kernel regression of the window onto
 its targets, and differ only in the targets and in how a residual is scored.
-A framework is a :data:`MODELS` class with three attributes:
+A framework is a :data:`MODELS` class with two attributes:
 
 - ``targets(X)``: what each row is regressed onto. The boundary model
   regresses every row onto the constant 1; the reconstruction model regresses
   each row onto itself.
 - ``score(r)``: the outlier score of a residual ``r``: ``|r|`` for boundary,
   the squared error ``||r||^2`` for reconstruction.
-- ``power``: the degree of ``score``, ``score(r / lambda) = score(r) /
-  lambda**power`` (1 and 2).
 
 With ``phi = K + I / lambda`` and ``p = phi^-1`` the weights are ``beta = p
 targets(window)``, and a query ``z`` scores ``score(targets(z) - k(z) beta)``.
 The training scores need no kernel matrix: ``phi beta = targets`` gives
-``targets - K beta = beta / lambda``, so a window row scores ``score(beta_i) /
-lambda**power``, which also keeps the digits that the subtractive form loses
-when ``beta`` is large. :func:`okc.selection.select` scores its folds with the
-same three attributes. Equal rows have exactly equal scores, so every copy of
-a window row takes the score of its first copy (:func:`first_copies`).
+``targets - K beta = beta / lambda``, so a window row scores ``score(beta_i /
+lambda)`` (:meth:`~_WindowedModel.score_training`), whatever ``score`` is, and
+keeps the digits that the subtractive form loses when ``beta`` is large.
+:func:`okc.selection.select` scores its folds with the same two attributes
+and the same rule. Equal rows have exactly equal scores, so every copy of a
+window row takes the score of its first copy (:func:`first_copies`).
 
 Both reject a score above the floor(eta * N)-th largest training score
 (:func:`rejection_threshold`, also used by :func:`okc.selection.select`), so
@@ -77,12 +76,11 @@ def first_copies(rows: np.ndarray) -> np.ndarray:
 
 class _WindowedModel:
     """Behavior common to both classifiers: weights, scores, threshold,
-    decision and sliding. A subclass is its framework: ``targets``, ``score``
-    and ``power`` (module docstring). ``beta = p targets(window)`` holds the
+    decision and sliding. A subclass is its framework: ``targets`` and
+    ``score`` (module docstring). ``beta = p targets(window)`` holds the
     output weights, one entry or row per window sample."""
 
     framework: str  # the key of the class in MODELS
-    power: int  # score(r / lambda) == score(r) / lambda**power
 
     @staticmethod
     def targets(X: np.ndarray) -> np.ndarray:
@@ -96,13 +94,21 @@ class _WindowedModel:
         scored at once."""
         raise NotImplementedError
 
+    @classmethod
+    def score_training(cls, beta: np.ndarray, lam) -> np.ndarray:
+        """Score of each training row from its weights ``beta`` at ``lam``:
+        its residual ``targets - K beta`` is ``beta / lam``, since ``phi beta
+        = targets``. ``lam`` is a float, or one lambda per weight of a row of
+        ``beta``, shaped to broadcast against it."""
+        return cls.score(beta / lam)
+
     def __init__(self, state: RegGramState, eta: float):
         self.state = state
         self.eta = check_eta(eta)
         self._refit()
 
     def _training_scores(self) -> np.ndarray:
-        return self.score(self.beta) / self.state.lam**self.power
+        return self.score_training(self.beta, self.state.lam)
 
     def scores(self, Z) -> np.ndarray:
         """Outlier score of each query row: its residual ``targets(z) - k(z) beta``, scored."""
@@ -137,7 +143,6 @@ class BoundaryModel(_WindowedModel):
     """Single-output model: regress onto the constant 1, score by |1 - prediction|."""
 
     framework = "boundary"
-    power = 1
     score = staticmethod(np.abs)
 
     @staticmethod
@@ -150,7 +155,6 @@ class ReconstructionModel(_WindowedModel):
     reconstruction error."""
 
     framework = "reconstruction"
-    power = 2
 
     @staticmethod
     def targets(X: np.ndarray) -> np.ndarray:

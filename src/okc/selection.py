@@ -21,12 +21,13 @@ weights of all lambdas side by side (``dormtr``). One reduction for many
 regularization parameters is Elden's (BIT 1977) device for Tikhonov problems,
 of the same family as exact leave-one-out for LS-SVMs (Cawley & Talbot 2004)
 and GCV (Golub, Heath & Wahba 1979). Training and held-out rows are then
-scored as a fitted model scores them: the framework's ``targets``, ``score``
-and ``power`` (:mod:`okc.models`) give the training scores from ``beta``
-alone and the held-out scores from ``K_c beta``, ``K_c`` the held-out x
-training block. The LAPACK calls come from :mod:`okc._blas`; where they are
-not bound, its fallback reduces by ``eigh``, a tridiagonalization with a zero
-off-diagonal.
+scored as a fitted model scores them: a framework is its ``targets`` and its
+``score`` (:mod:`okc.models`), the training rows score their closed-form
+residuals ``beta / lambda`` (``score_training``, the models' own rule), and
+the held-out rows their residuals ``targets - K_c beta``, ``K_c`` the
+held-out x training block. The LAPACK calls come from :mod:`okc._blas`;
+where they are not bound, its fallback reduces by ``eigh``, a
+tridiagonalization with a zero off-diagonal.
 
 The threshold and the decision are the models' own:
 :func:`~okc.models.rejection_threshold` over the training scores, one
@@ -234,7 +235,9 @@ def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndar
         return errors
     lams = lams[usable]
     per_row = (lams.size, *targets.shape[1:])  # a row of beta holds one weight per lambda
-    train_scores = model.score(beta.reshape(n, *per_row)) / lams**model.power
+    # each lambda divides its own weights: (L,) against a vector target's, (L, 1) against a matrix's
+    lam_shape = (lams.size, *[1] * (targets.ndim - 1))
+    train_scores = model.score_training(beta.reshape(n, *per_row), lams.reshape(lam_shape))
     held_scores = model.score(model.targets(X_c)[:, None] - (K_c @ beta).reshape(len(X_c), *per_row))
     # Equal rows have, exactly, equal scores: a held-out copy of a training row
     # scores as that row. Taking every copy's score from one row keeps the

@@ -46,10 +46,17 @@ class Dataset:
     generators and :func:`to_one_class`), or the int/float/str values of a
     CSV's label cells in an object array (from :func:`load_csv`). ``ds[i]``
     and iteration give ``(features, label)`` rows, the features a view into
-    ``X``."""
+    ``X``. Checked when made: InvalidInputError refuses an ``X`` that is not
+    2-D, a ``y`` that is not 1-D, or a ``y`` with another number of rows."""
 
     X: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        x_shape, y_shape = np.shape(self.X), np.shape(self.y)
+        if len(x_shape) != 2 or len(y_shape) != 1 or x_shape[0] != y_shape[0]:
+            raise InvalidInputError(f"a dataset needs a 2-D X and a 1-D y of as many rows, "
+                                    f"got X {x_shape} and y {y_shape}")
 
     def __len__(self) -> int:
         return self.X.shape[0]

@@ -144,6 +144,13 @@ def test_ptsv_refuses_a_non_positive_pivot(blas, d, e):
         blas.ptsv(np.array(d), np.array(e), np.ones(len(d)))
 
 
+def test_bind_binds_every_symbol_or_none(monkeypatch):
+    # a library that lacks one symbol binds nothing, so no run mixes bound
+    # primitives with fallbacks
+    monkeypatch.setitem(_blas._SIGNATURES, "LAPACKE_dnosuchroutine", (_blas._int, []))
+    assert _blas._bind() == (None, {})
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 def test_binding_is_the_openblas_numpy_mapped():
     if _blas.LIBRARY is None:

@@ -5,18 +5,21 @@ import pytest
 
 from okc import (
     DimensionError,
+    DriftStreamSpec,
     IllConditionedError,
     InvalidInputError,
     KernelSpec,
     RegGramState,
     fit_boundary,
     fit_reconstruction,
+    gen_stream,
     gram,
     load_model,
     rejection_threshold,
     save_model,
+    select,
 )
-from okc.models import from_snapshot, to_snapshot
+from okc.models import MODELS, from_snapshot, to_snapshot
 
 K1 = KernelSpec(sigma=1.0)
 
@@ -344,6 +347,38 @@ def test_path_independence_of_window_contents():
     assert abs(a.theta - b.theta) < 1e-6
     probes = rng.normal(size=(500, 2)) * 2
     np.testing.assert_array_equal(a.labels_for(a.scores(probes)), b.labels_for(b.scores(probes)))
+
+
+ORIGIN_DEPENDENT = pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+
+
+@pytest.mark.parametrize("framework", ["boundary", pytest.param("reconstruction", marks=ORIGIN_DEPENDENT)])
+@pytest.mark.parametrize("pair", ["fixed", "selected"])
+def test_shifting_window_and_probes_together_leaves_scores_and_labels(framework, pair):
+    # The first window of criterion 5's stream and probes around its mean,
+    # scored as they are and moved by (20, 0). The RBF kernel depends only on
+    # differences, so a model should not see the move. The reconstruction
+    # model regresses rows onto their own coordinates, so it does (ROADMAP
+    # item 7): its scores change by about 7e2, and labels flip.
+    stream = gen_stream(DriftStreamSpec(family="unimodal_drift", total=20_000, drift_period=200,
+                                        class_balance=0.5, velocity=[0.25, 0.0], class_offset=[8.0, 0.0],
+                                        seed=42))
+    window = stream.X[stream.y == 1][:150]
+    probes = window.mean(axis=0) + np.random.default_rng(0).normal(scale=3.0, size=(300, 2))
+    if pair == "fixed":
+        lam, sigma = 10.0, 2.0
+    else:
+        chosen = select(window, framework)
+        lam, sigma = chosen.lam, chosen.sigma
+    fitted = []
+    for shift in (np.zeros(2), np.array([20.0, 0.0])):
+        model = MODELS[framework](RegGramState(window + shift, lam, KernelSpec(sigma=sigma)), 0.05)
+        scores = model.scores(probes + shift)
+        fitted.append((scores, model.labels_for(scores), model.theta))
+    (scores, labels, theta), (moved_scores, moved_labels, _) = fitted
+    assert np.abs(moved_scores - scores).max() <= 1e-9
+    flipped = labels != moved_labels
+    assert (np.abs(scores[flipped] - theta) <= 1e-9).all()
 
 
 # ---- snapshots ------------------------------------------------------------

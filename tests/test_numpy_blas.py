@@ -19,6 +19,7 @@ from test_acceptance import (  # noqa: F401
 from test_gram_window import *  # noqa: F401,F403
 from test_models import *  # noqa: F401,F403
 from test_selection import (  # noqa: F401
+    test_a_non_homogeneous_score_scores_training_rows_by_their_residuals,
     test_condition_rule_matches_dense_fits_in_band,
     test_held_out_copies_score_as_their_training_rows,
     test_refused_pivot_is_scored_as_a_dense_fit_decides,

@@ -340,7 +340,6 @@ class ConstantAndFirstFeatureModel(okc.models._WindowedModel):
     and the threshold alike."""
 
     framework = "constant_and_first"
-    power = 1
 
     @staticmethod
     def targets(X):
@@ -366,6 +365,37 @@ def test_select_scores_a_framework_by_its_targets_and_score(monkeypatch):
     np.testing.assert_allclose(errors[name], dense, rtol=0, atol=1e-12)
     assert not np.array_equal(errors[name], errors["boundary"])
     assert not np.array_equal(errors[name], errors["reconstruction"])
+    assert_same_selection(select(X, name, cfg, seed=4), dense_select(X, name, cfg, seed=4))
+
+
+class LogErrorModel(ConstantAndFirstFeatureModel):
+    """The same targets, scored by ``sum(log1p(|r|))``: no power of lambda
+    turns this score of ``beta`` into the score of the residual ``beta /
+    lambda``, so only the residual itself scores training rows right."""
+
+    framework = "log_error"
+
+    @staticmethod
+    def score(residuals):
+        return np.log1p(np.abs(residuals)).sum(axis=-1)
+
+
+def test_a_non_homogeneous_score_scores_training_rows_by_their_residuals(monkeypatch):
+    name = LogErrorModel.framework
+    monkeypatch.setitem(okc.models.MODELS, name, LogErrorModel)
+    X = blob(60, seed=21)
+    # at lambda 1e3 the subtractive reference itself loses digits (2e-9 here);
+    # test_training_scores_keep_their_digits_when_weights_are_large covers it
+    for lam in (10.0, 1e-1):
+        spec = KernelSpec(sigma=1.0)
+        model = LogErrorModel(RegGramState(X, lam, spec), 0.1)
+        residuals = model.targets(X) - gram(spec, X) @ model.beta
+        np.testing.assert_allclose(model._training_scores(), model.score(residuals), rtol=1e-9)
+    cfg = SelectionConfig(folds=3, eta=0.1, lambdas=[1e3, 10.0, 1e-1], sigmas=[0.3, 1.0, 3.0])
+    folds = np.array_split(np.random.default_rng(4).permutation(len(X)), cfg.folds)
+    errors = [okc.selection._cv_errors(X, folds, name, cfg.lambdas, sigma, cfg.eta) for sigma in cfg.sigmas]
+    dense = [[dense_cv_error(X, folds, name, lam, sigma, cfg.eta) for lam in cfg.lambdas] for sigma in cfg.sigmas]
+    np.testing.assert_allclose(errors, dense, rtol=0, atol=1e-12)
     assert_same_selection(select(X, name, cfg, seed=4), dense_select(X, name, cfg, seed=4))
 
 

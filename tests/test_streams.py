@@ -276,6 +276,27 @@ def test_minmax_normalize_without_rows_returns_the_dataset():
     assert minmax_normalize(ds) is ds
 
 
+@pytest.mark.parametrize("X, y", [
+    (np.zeros((40, 2)), np.ones(3)),  # fewer labels than rows
+    (np.zeros((3, 2)), np.ones(4)),  # more labels than rows
+    (np.zeros(3), np.ones(3)),  # X a vector
+    (np.zeros((3, 2, 1)), np.ones(3)),  # X 3-D
+    (np.zeros((3, 2)), np.ones((3, 1))),  # y a column
+])
+def test_dataset_refuses_X_and_y_that_disagree(X, y):
+    with pytest.raises(InvalidInputError, match="2-D X and a 1-D y"):
+        Dataset(X, y)
+
+
+def test_an_empty_csv_and_an_empty_ring_make_datasets(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    empty_csv = load_csv(DatasetSchema(path=path))
+    assert empty_csv.X.shape == (0, 0) and empty_csv.y.shape == (0,)
+    ring = gen_ring(0, 1.0, 2.0)
+    assert ring.X.shape == (0, 2) and ring.y.shape == (0,)
+
+
 # ---- row access -------------------------------------------------------------
 
 
