@@ -45,17 +45,16 @@ exceeds ``CONDITION_LIMIT`` (1e14), and so does the search: a candidate any
 of whose folds fails the rule scores ``inf``. The extreme eigenvalues of
 ``T``, found by bisection (``dstebz``), give the 2-norm condition number
 ``cond_2 = max d / min d`` of ``phi``, ``d`` its eigenvalues, and for an n x n
-matrix ``cond_2 / n <= cond_1 <= n cond_2``. So a fold is accepted when
-``n cond_2 <= CONDITION_LIMIT``, rejected when ``min d <= 0`` or
-``cond_2 / n > CONDITION_LIMIT``, and only in the band between is ``phi``
-inverted as a fit inverts it, by Cholesky (``_inverse_factor``), to
-evaluate ``cond_1`` exactly; a ``phi`` that is not positive definite is
-refused there, as a fit refuses it. RBF kernel eigenvalues lie in [0, n] (the
-trace is n), so ``cond_2 <= n lambda + 1``; with lambda <= 1e8, as on the
-default grid, ``n cond_2`` stays below 1e14 up to n = 999 training rows, and
-the band is reachable only for larger folds (or larger lambdas). Should
-round-off make a pivot of the tridiagonal solve non-positive, that lambda is
-decided and solved as a fit would: by the Cholesky inverse and ``cond_1``.
+matrix ``cond_1 <= n cond_2``. So the rule is two-way. Where the spectrum
+proves ``n cond_2 <= CONDITION_LIMIT``, the fit would accept ``phi`` and the
+tridiagonal system is solved. Every other lambda, and one whose tridiagonal
+pivot round-off makes non-positive, is decided and solved as a fit decides:
+``phi`` is inverted by Cholesky (``_inverse_factor``), refused unless it is
+positive definite with ``cond_1`` within the limit. RBF kernel eigenvalues
+lie in [0, n] (the trace is n), so ``cond_2 <= n lambda + 1``; with lambda <=
+1e8, as on the default grid, the spectrum proves the rule up to n = 999
+training rows, and only larger folds (or larger lambdas) reach the Cholesky
+path but for round-off.
 
 A width stops early once it is proven inconsistent: after fold k < folds,
 when ``errors[:k].sum(axis=0) / folds > e_thr`` holds for every lambda, its
@@ -160,56 +159,38 @@ class SelectionResult:
         }
 
 
-def _fit_inverse(K: np.ndarray, lam: float) -> np.ndarray | None:
-    """The inverse of ``phi = K + I / lam``, factored and checked by a fitted
-    model's own rule (Cholesky, then ``cond_1``); None where a fit would
-    refuse ``phi``."""
-    try:
-        return _inverse_factor(_regularize(K.copy(), lam), "regularized Gram matrix")[1]
-    except IllConditionedError:
-        return None
-
-
-def _usable(K: np.ndarray, low: float, high: float, lam: float) -> bool:
-    """Whether ``phi = K + I / lam`` passes the fitted models' 1-norm condition
-    rule, given the smallest and largest eigenvalue of ``K``."""
-    low, high = low + 1.0 / lam, high + 1.0 / lam
-    n = len(K)
-    if low <= 0:
-        return False
-    cond_2 = high / low
-    if n * cond_2 <= CONDITION_LIMIT:
-        return True
-    if cond_2 / n > CONDITION_LIMIT:
-        return False
-    return _fit_inverse(K, lam) is not None
-
-
 def _weights(K_t: np.ndarray, targets: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(usable, beta)`` for the (n, m) ``targets`` of the rows of ``K_t``:
     which ``lams`` pass the fitted models' condition rule, and the weights
     ``beta = (K_t + I / lam)^-1 targets`` of those lambdas side by side, an
-    (n, U * m) array for U usable lambdas, so that one product serves all."""
+    (n, U * m) array for U usable lambdas, so that one product serves all.
+
+    A lambda whose spectrum proves ``n cond_2 <= CONDITION_LIMIT`` is solved
+    by the tridiagonal system; every other one, and one whose pivot round-off
+    refuses, is decided and solved by a fit's own rule: the Cholesky inverse
+    and ``cond_1`` (module docstring)."""
     n, m = targets.shape
     diagonal, off_diagonal, q = _blas.sytrd(K_t)
     low, high = _blas.stebz(diagonal, off_diagonal)
-    usable = np.array([_usable(K_t, low, high, lam) for lam in lams])
-    if not usable.any():
-        return usable, np.zeros((n, 0))
     rotated = _blas.ormtr(q, targets, transpose=True)  # Q^T targets
-    solved = np.ones(usable.sum(), dtype=bool)
-    y = np.zeros((n, solved.size, m))
-    for j, lam in enumerate(lams[usable]):
+    usable = np.ones(lams.size, dtype=bool)
+    y = np.zeros((n, lams.size, m))
+    for j, lam in enumerate(lams):
+        # n cond_2 <= limit, without a division; high >= 1 (the trace is n),
+        # so it is false wherever low + 1/lam <= 0
+        if n * (high + 1.0 / lam) <= CONDITION_LIMIT * (low + 1.0 / lam):
+            try:
+                y[:, j] = _blas.ptsv(diagonal + 1.0 / lam, off_diagonal, rotated)
+                continue
+            except np.linalg.LinAlgError:
+                pass  # a pivot that round-off made non-positive
         try:
-            y[:, j] = _blas.ptsv(diagonal + 1.0 / lam, off_diagonal, rotated)
-        except np.linalg.LinAlgError:
-            # a pivot that round-off made non-positive: solve, or refuse, as a fit would
-            inverse = _fit_inverse(K_t, lam)
-            solved[j] = inverse is not None
-            if solved[j]:
-                y[:, j] = _blas.ormtr(q, inverse @ targets, transpose=True)
-    usable[usable] = solved
-    return usable, _blas.ormtr(q, y[:, solved].reshape(n, -1))
+            inverse = _inverse_factor(_regularize(K_t.copy(), lam), "regularized Gram matrix")[1]
+        except IllConditionedError:
+            usable[j] = False
+            continue
+        y[:, j] = _blas.ormtr(q, inverse @ targets, transpose=True)
+    return usable, _blas.ormtr(q, y[:, usable].reshape(n, -1))
 
 
 def _fold_errors(K_t: np.ndarray, K_c: np.ndarray, X_t: np.ndarray, X_c: np.ndarray,

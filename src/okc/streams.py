@@ -46,14 +46,26 @@ class Dataset:
     generators and :func:`to_one_class`), or the int/float/str values of a
     CSV's label cells in an object array (from :func:`load_csv`). ``ds[i]``
     and iteration give ``(features, label)`` rows, the features a view into
-    ``X``. Checked when made: InvalidInputError refuses an ``X`` that is not
-    2-D, a ``y`` that is not 1-D, or a ``y`` with another number of rows."""
+    ``X``. Checked when made: ``X`` is held as a float array and ``y`` as an
+    array (a list of labels as an object array, its values kept), and
+    InvalidInputError refuses an ``X`` that is ragged or not numeric, an ``X``
+    that is not 2-D, a ``y`` that is not 1-D, or a ``y`` with another number
+    of rows. An array that is already so is held as it is, without a copy."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x_shape, y_shape = np.shape(self.X), np.shape(self.y)
+        try:
+            X = np.asarray(self.X)  # NumPy refuses a ragged nested list with ValueError
+            if X.dtype.kind not in "biuf":
+                raise ValueError
+        except ValueError:
+            raise InvalidInputError("a dataset's X must be real numbers in rows of one length") from None
+        store = super().__setattr__  # the frozen class's own __setattr__ refuses
+        store("X", X.astype(float, copy=False))
+        store("y", self.y if isinstance(self.y, np.ndarray) else np.array(self.y, dtype=object))
+        x_shape, y_shape = self.X.shape, self.y.shape
         if len(x_shape) != 2 or len(y_shape) != 1 or x_shape[0] != y_shape[0]:
             raise InvalidInputError(f"a dataset needs a 2-D X and a 1-D y of as many rows, "
                                     f"got X {x_shape} and y {y_shape}")

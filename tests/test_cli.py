@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import okc.kernel
 import okc.cli
-from okc import (DatasetSchema, RunConfig, SelectionConfig, SelectionResult, load_csv, select, slide_benchmark,
-                 to_one_class)
+from okc import (Dataset, DatasetSchema, RunConfig, SelectionConfig, SelectionResult, load_csv, save_csv, select,
+                 slide_benchmark, to_one_class)
 from okc.cli import _build_parser, _run_config, main
+from test_selection import near_identity_dataset
 
 RING_SPEC = {"family": "ring", "total": 300, "seed": 4, "r_inner": 1.0, "r_outer": 2.0}
 DRIFT_SPEC = {
@@ -465,6 +467,19 @@ def test_console_entry_point_runs():
     proc = python_m_okc("version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_python_m_okc_select_on_near_identity_folds(tmp_path):
+    # In a child process: on this data dstebz once wrote before its buffer and
+    # corrupted the heap, and a fault should fail this test, not end the run
+    X = near_identity_dataset()
+    path = tmp_path / "near_identity.csv"
+    save_csv(Dataset(X, np.ones(len(X), dtype=int)), path)
+    proc = python_m_okc("select", str(path), "--header", "--seed", "279")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_refuse_constant) == select(X, seed=279).to_json_dict()
 
 
 @pytest.mark.parametrize("mode", ["sliding", "static", "stationary"])

@@ -311,6 +311,27 @@ def test_duplicated_rows_raise_or_keep_inverse_close_to_oracle(seed):
         assert np.abs(st.p - p).max() / np.abs(p).max() < 1e-6, k
 
 
+@pytest.mark.parametrize("lam", [
+    1e4,
+    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+])
+def test_slides_over_duplicated_rows_keep_beta_close_to_a_cholesky_solve(lam):
+    # 2-D integer features from 1..6 repeat at most 36 points in a window of
+    # 150; after each slide, beta = p 1 must stay within 1e-5 (relative to its
+    # largest entry) of a Cholesky solve of phi rebuilt from the window. At
+    # lambda=1e6 the slides lose it, and nothing raises.
+    linalg = pytest.importorskip("scipy.linalg")
+    window, chunk, kernel = 150, 50, KernelSpec(sigma=3.0)
+    for seed in range(3):
+        X = np.random.default_rng(seed).integers(1, 7, size=(window + 20 * chunk, 2)).astype(float)
+        st = RegGramState(X[:window], lam, kernel)
+        for k in range(20):
+            st.slide(X[window + k * chunk: window + (k + 1) * chunk])
+            exact = linalg.cho_solve(linalg.cho_factor(rebuilt_phi(st)), np.ones(window))
+            err = np.abs(st.solve(np.ones(window)) - exact).max() / np.abs(exact).max()
+            assert err <= 1e-5, (seed, k, err)
+
+
 @pytest.mark.parametrize("lam, bound", [(1e6, 1e-8), (1e8, 1e-6)])
 def test_initial_beta_on_duplicated_rows_matches_a_40_digit_solve(lam, bound):
     # 60 rows of 2-D integer features from 1..6 repeat at most 36 points, so

@@ -26,6 +26,7 @@ from test_selection import (  # noqa: F401
     test_select_deterministic_and_matches_dense_reference,
     test_select_fallback_scores_skipped_widths_in_full,
     test_select_matches_dense_reference_on_corpus,
+    test_select_on_near_identity_folds_matches_dense_reference,
     test_select_stops_widths_proven_inconsistent,
 )
 

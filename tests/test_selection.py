@@ -555,6 +555,20 @@ def test_select_matches_dense_reference_on_corpus():
             assert got.cv_error == pytest.approx(exact, abs=1e-12)
 
 
+def near_identity_dataset():
+    """A corpus draw whose kernel blocks at the smallest width lie within
+    about 2e-15 of I: on OpenBLAS, dstebz cannot isolate their largest
+    eigenvalue there."""
+    return corpus_dataset(np.random.default_rng([99, 279]), duplicates=True)
+
+
+@pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
+def test_select_on_near_identity_folds_matches_dense_reference(framework):
+    X = near_identity_dataset()
+    got = select(X, framework, seed=279)
+    assert got == dense_select(X, framework, SelectionConfig(), seed=279)
+
+
 @pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
 def test_held_out_copies_score_as_their_training_rows(framework):
     # Every held-out row copies a training row, so each ties exactly with its
@@ -575,13 +589,15 @@ def test_held_out_copies_score_as_their_training_rows(framework):
 def test_condition_rule_matches_dense_fits_in_band(monkeypatch, framework):
     # With the limit at 1e4 and 40 training rows, the band
     # cond_2 / n <= 1e4 < n cond_2 holds candidates on both sides of the limit,
-    # so the exact 1-norm product decides there; the closed form must reject
-    # exactly the (fold, lambda) pairs whose dense fit raises.
+    # and some candidates lie above it, cond_2 / n > 1e4, where the spectrum
+    # alone would reject; the fit's own rule decides all of them, so the closed
+    # form must reject exactly the (fold, lambda) pairs whose dense fit raises.
     limit = 1e4
     monkeypatch.setattr(okc.gram_window, "CONDITION_LIMIT", limit)
     monkeypatch.setattr(okc.selection, "CONDITION_LIMIT", limit)
     lams = np.array(lambda_grid())
     band = {"accepted": 0, "rejected": 0}
+    above_band = 0
     for seed in range(4):
         X = blob(50, seed=seed)
         folds = np.array_split(np.random.default_rng(seed).permutation(50), 5)
@@ -603,7 +619,9 @@ def test_condition_rule_matches_dense_fits_in_band(monkeypatch, framework):
                     cond_2 = d.max() / d.min()
                     if cond_2 / len(train) <= limit < len(train) * cond_2:
                         band["accepted" if dense_ok else "rejected"] += 1
+                    above_band += cond_2 / len(train) > limit
     assert band["accepted"] > 0 and band["rejected"] > 0, band
+    assert above_band > 0
 
 
 def refuse_pivot(d, e, b):
@@ -613,9 +631,9 @@ def refuse_pivot(d, e, b):
 @pytest.mark.parametrize("framework", ["boundary", "reconstruction"])
 def test_refused_pivot_is_scored_as_a_dense_fit_decides(monkeypatch, framework):
     # Round-off can make a pivot of the tridiagonal solve non-positive. Forced
-    # here for every lambda, with the condition rule bypassed, the fit's own
-    # rule then decides alone: a lambda scores inf exactly where its dense fit
-    # raises, and elsewhere as the tridiagonal solve scores it.
+    # here for every lambda, the fit's own rule then decides alone: a lambda
+    # scores inf exactly where its dense fit raises, and elsewhere as the
+    # tridiagonal solve scores it.
     limit = 1e4
     monkeypatch.setattr(okc.gram_window, "CONDITION_LIMIT", limit)
     monkeypatch.setattr(okc.selection, "CONDITION_LIMIT", limit)
@@ -631,7 +649,6 @@ def test_refused_pivot_is_scored_as_a_dense_fit_decides(monkeypatch, framework):
                         lams, 0.1)
                 solved = _fold_errors(*args)
                 with monkeypatch.context() as m:
-                    m.setattr(okc.selection, "_usable", lambda *a: True)
                     m.setattr(okc._blas, "ptsv", refuse_pivot)
                     refused = _fold_errors(*args)
                 for lam, err in zip(lams, refused):

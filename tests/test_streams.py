@@ -295,6 +295,27 @@ def test_an_empty_csv_and_an_empty_ring_make_datasets(tmp_path):
     assert empty_csv.X.shape == (0, 0) and empty_csv.y.shape == (0,)
     ring = gen_ring(0, 1.0, 2.0)
     assert ring.X.shape == (0, 2) and ring.y.shape == (0,)
+    for ds in (empty_csv, ring):  # held as they are, without a copy
+        again = Dataset(ds.X, ds.y)
+        assert again.X is ds.X and again.y is ds.y
+
+
+def test_dataset_holds_lists_as_arrays():
+    ds = Dataset([[1.0, 2.0], [3.0, 4.0]], [1, 2])
+    assert len(ds) == 2 and ds.X.dtype == np.float64 and ds.y.dtype == object
+    assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.y.tolist() == [1, 2]
+    assert to_one_class(ds, {"1"})[0].y.tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("X", [
+    [[1.0, 2.0], [3.0]],  # ragged
+    [["a", "b"]],
+    [[None, 1.0]],
+    [[1j, 2.0]],
+])
+def test_dataset_refuses_ragged_or_non_numeric_X(X):
+    with pytest.raises(InvalidInputError, match="real numbers in rows of one length"):
+        Dataset(X, [1] * len(X))
 
 
 # ---- row access -------------------------------------------------------------
@@ -337,6 +358,13 @@ def test_rows_by_numpy_integer_index(tmp_path, source):
         assert row.label == ds.y.tolist()[i]
         assert type(row.label) is type(ds.y.tolist()[i])
     assert np.array_equal(ds[np.int64(-1)].features, ds.X[-1])
+
+
+@pytest.mark.parametrize("source", sorted(ROW_SOURCES))
+def test_a_dataset_holds_its_producers_arrays_as_they_are(tmp_path, source):
+    ds = ROW_SOURCES[source](tmp_path)
+    again = Dataset(ds.X, ds.y)
+    assert again.X is ds.X and again.y is ds.y
 
 
 def test_raw_labels_keep_their_types(tmp_path):
