@@ -2,10 +2,9 @@
 
 ``syrk``, ``symm`` (``dsymv`` for a vector, ``dsymm`` for a matrix), ``potrf``
 and ``trtri`` work in place. ``sytrd`` reduces a symmetric matrix to a
-tridiagonal one, ``A = Q T Q^T``, and ``ormtr`` applies its ``Q``; ``stebz``
-gives the extreme eigenvalues of ``T`` by bisection, and ``ptsv`` solves a
-positive definite tridiagonal system. All are bound through ctypes from the
-OpenBLAS that NumPy itself loaded: its wheels bundle one, with 64-bit
+tridiagonal one, ``A = Q T Q^T``, ``ormtr`` applies its ``Q``, and ``ptsv``
+solves a positive definite tridiagonal system. All are bound through ctypes
+from the OpenBLAS that NumPy itself loaded: its wheels bundle one, with 64-bit
 integers, under ``numpy.libs`` (``numpy/.dylibs`` on macOS). The file is
 opened with ``RTLD_NOLOAD``, which returns a handle only to a library already
 mapped into the process, so this module never loads a second BLAS;
@@ -47,8 +46,6 @@ _SIGNATURES = {
     "LAPACKE_dtrtri": (_int, [_enum, _char, _char, _int, _ptr, _int]),
     "LAPACKE_dsytrd": (_int, [_enum, _char, _int, _ptr, _int, _ptr, _ptr, _ptr]),
     "LAPACKE_dormtr": (_int, [_enum, _char, _char, _char, _int, _int, _ptr, _int, _ptr, _ptr, _int]),
-    "LAPACKE_dstebz": (_int, [_char, _char, _int, _double, _double, _int, _int, _double, _ptr, _ptr, _ptr, _ptr,
-                              _ptr, _ptr, _ptr]),
     "LAPACKE_dptsv": (_int, [_enum, _int, _int, _ptr, _ptr, _ptr, _int]),
 }
 
@@ -84,10 +81,6 @@ def _trtri_numpy(a: np.ndarray) -> None:
     np.copyto(a, np.linalg.inv(np.tril(a)), where=np.tri(len(a), dtype=bool))
 
 
-def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
 def _sytrd_numpy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(d, e, q)`` with ``a = Q T Q^T``, ``T`` the symmetric tridiagonal
     matrix of diagonal ``d`` and off-diagonal ``e``, and ``Q`` orthogonal and
@@ -102,15 +95,6 @@ def _ormtr_numpy(q, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     return (q.T if transpose else q) @ b
 
 
-def _stebz_numpy(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """The smallest and the largest eigenvalue of the symmetric tridiagonal
-    matrix of diagonal ``d`` and off-diagonal ``e``."""
-    if not e.any():  # diagonal, as from the eigh fallback: d is the spectrum
-        return float(d.min()), float(d.max())
-    w = np.linalg.eigvalsh(_tridiagonal(d, e))
-    return float(w[0]), float(w[-1])
-
-
 def _ptsv_numpy(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x`` with ``T x = b`` for the symmetric tridiagonal ``T`` of diagonal
     ``d`` and off-diagonal ``e`` and a vector or matrix ``b``, as a new array;
@@ -119,13 +103,13 @@ def _ptsv_numpy(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not (d > 0).all():
             raise np.linalg.LinAlgError("non-positive pivot")
         return b / (d if b.ndim == 1 else d[:, None])
-    t = _tridiagonal(d, e)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     np.linalg.cholesky(t)  # raises LinAlgError unless positive definite
     return np.linalg.solve(t, b)
 
 
 FALLBACKS = {"syrk": _syrk_numpy, "symm": _symm_numpy, "potrf": _potrf_numpy, "trtri": _trtri_numpy,
-             "sytrd": _sytrd_numpy, "ormtr": _ormtr_numpy, "stebz": _stebz_numpy, "ptsv": _ptsv_numpy}
+             "sytrd": _sytrd_numpy, "ormtr": _ormtr_numpy, "ptsv": _ptsv_numpy}
 
 
 def _ld(a: np.ndarray) -> int:
@@ -224,27 +208,6 @@ def _ormtr_lapack(q, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def _stebz_lapack(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    # bisection for eigenvalues 1 and n alone: 0.5 ms at n=400, against 2 ms
-    # for all of them by dsterf
-    n = len(d)
-    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
-    found, blocks = _int(), _int()
-    # block gets a leading guard element: where dstebz cannot isolate the one
-    # eigenvalue asked for (info 2), it writes IBLOCK(0), one element before
-    # the array it is given (a defect of the LAPACK routine)
-    w, block, split = np.empty(n), np.empty(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64)
-    ends = []
-    for i in (1, n):
-        info = _native["LAPACKE_dstebz"](b"I", b"E", n, 0.0, 0.0, i, i, 0.0, d.ctypes.data, e.ctypes.data,
-                                         ctypes.byref(found), ctypes.byref(blocks), w.ctypes.data,
-                                         block[1:].ctypes.data, split.ctypes.data)
-        if info or found.value != 1:
-            return _stebz_numpy(d, e)  # the dense eigenvalues, which need no isolation
-        ends.append(float(w[0]))
-    return ends[0], ends[1]
-
-
 def _ptsv_lapack(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     # dptsv overwrites d and e with the factor and b, read column-major, with x
     n = len(d)
@@ -260,7 +223,7 @@ def _ptsv_lapack(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the BLAS and LAPACK calls share the fallbacks' contract
 if _native:
     syrk, symm, potrf, trtri = _syrk_blas, _symm_blas, _potrf_lapack, _trtri_lapack
-    sytrd, ormtr, stebz, ptsv = _sytrd_lapack, _ormtr_lapack, _stebz_lapack, _ptsv_lapack
+    sytrd, ormtr, ptsv = _sytrd_lapack, _ormtr_lapack, _ptsv_lapack
 else:
     syrk, symm, potrf, trtri = _syrk_numpy, _symm_numpy, _potrf_numpy, _trtri_numpy
-    sytrd, ormtr, stebz, ptsv = _sytrd_numpy, _ormtr_numpy, _stebz_numpy, _ptsv_numpy
+    sytrd, ormtr, ptsv = _sytrd_numpy, _ormtr_numpy, _ptsv_numpy

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, UndefinedMetricError, check_choice, check_int, check_real
 from .gram_window import RegGramState, direct_inverse_oracle
-from .kernel import KernelSpec
+from .kernel import KernelSpec, check_sigma
 from .models import FRAMEWORKS, MODELS, check_eta, fit_boundary
 from .selection import SelectionConfig, select
 from .streams import TARGET_LABEL, Dataset, to_one_class
@@ -61,7 +61,7 @@ class RunConfig:
         store("runs", check_int(self.runs, "runs", 1))
         store("seed", check_int(self.seed, "seed", 0))
         if not (isinstance(self.sigma, str) and self.sigma == "auto"):
-            store("sigma", check_real(self.sigma, "sigma", 0))
+            store("sigma", check_sigma(self.sigma))
         store("lam", check_real(self.lam, "lambda", 0))
 
     def to_json_dict(self) -> dict:

@@ -17,6 +17,7 @@ diagonal is exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,16 @@ RBF = "rbf"  # the kernel's name in model snapshots
 _BLOCK_ENTRIES = 1 << 16
 
 
+def check_sigma(value, name: str = "sigma") -> float:
+    """``value`` as a float, if it is a kernel width whose ``2 sigma^2``, the
+    denominator :func:`gram` divides by, is a positive finite float. The
+    square is taken by a product, which cannot raise as ``**`` does."""
+    sigma = check_real(value, name, 0)
+    if not 0.0 < 2.0 * (sigma * sigma) < math.inf:
+        raise InvalidInputError(f"{name} must be a kernel width with 2 sigma^2 positive and finite, got {sigma!r}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """The Gaussian (RBF) kernel.
@@ -35,13 +46,14 @@ class KernelSpec:
     Parameters
     ----------
     sigma : float
-        Kernel width, in the same units as feature-space distance. Must be > 0.
+        Kernel width, in the same units as feature-space distance. Must be > 0,
+        with ``2 sigma^2`` a positive finite float (:func:`check_sigma`).
     """
 
     sigma: float = 1.0
 
     def __post_init__(self):
-        super().__setattr__("sigma", check_real(self.sigma, "sigma", 0))
+        super().__setattr__("sigma", check_sigma(self.sigma))
 
 
 def as_samples(X, name: str = "X") -> np.ndarray:

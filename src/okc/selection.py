@@ -42,19 +42,19 @@ a time.
 
 A fitted model rejects a regularized Gram whose 1-norm condition number
 exceeds ``CONDITION_LIMIT`` (1e14), and so does the search: a candidate any
-of whose folds fails the rule scores ``inf``. The extreme eigenvalues of
-``T``, found by bisection (``dstebz``), give the 2-norm condition number
-``cond_2 = max d / min d`` of ``phi``, ``d`` its eigenvalues, and for an n x n
-matrix ``cond_1 <= n cond_2``. So the rule is two-way. Where the spectrum
-proves ``n cond_2 <= CONDITION_LIMIT``, the fit would accept ``phi`` and the
-tridiagonal system is solved. Every other lambda, and one whose tridiagonal
-pivot round-off makes non-positive, is decided and solved as a fit decides:
-``phi`` is inverted by Cholesky (``_inverse_factor``), refused unless it is
-positive definite with ``cond_1`` within the limit. RBF kernel eigenvalues
-lie in [0, n] (the trace is n), so ``cond_2 <= n lambda + 1``; with lambda <=
-1e8, as on the default grid, the spectrum proves the rule up to n = 999
-training rows, and only larger folds (or larger lambdas) reach the Cholesky
-path but for round-off.
+of whose folds fails the rule scores ``inf``. The rule is two-way, and its
+proof needs no spectrum. An RBF block is positive semi-definite with entries
+in [0, 1], so its eigenvalues lie in [0, r], ``r`` its largest row sum
+(Gershgorin), and the 2-norm condition number of ``phi`` is ``cond_2 <=
+lambda r + 1``; for an n x n matrix ``cond_1 <= n cond_2``. Where ``n (lambda
+r + 1) <= CONDITION_LIMIT``, the fit would accept ``phi`` and the tridiagonal
+system is solved. Every other lambda, and one whose tridiagonal pivot
+round-off makes non-positive, is decided and solved as a fit decides: ``phi``
+is inverted by Cholesky (``_inverse_factor``), refused unless it is positive
+definite with ``cond_1`` within the limit. A row sum is at most n, so with
+lambda <= 1e8, as on the default grid, every fold of up to 999 training rows
+is proven whatever the data, and only larger folds (or larger lambdas) can
+reach the Cholesky path.
 
 A width stops early once it is proven inconsistent: after fold k < folds,
 when ``errors[:k].sum(axis=0) / folds > e_thr`` holds for every lambda, its
@@ -78,7 +78,7 @@ from . import _blas
 from .errors import (IllConditionedError, InsufficientDataError, InsufficientMemoryError, InvalidInputError,
                      check_choice, check_int, check_real)
 from .gram_window import CONDITION_LIMIT, _inverse_factor, _regularize
-from .kernel import KernelSpec, as_samples, gram, pairwise_distance_range
+from .kernel import KernelSpec, as_samples, check_sigma, gram, pairwise_distance_range
 from .models import MODELS, check_eta, first_copies, rejection_threshold
 
 # Not used here. Kept bound because the benchmark's tracer
@@ -132,13 +132,13 @@ class SelectionConfig:
         store("folds", check_int(self.folds, "folds", 2))
         store("eta", check_eta(self.eta))
         store("sigma_thr", check_real(self.sigma_thr, "sigma_thr", 0, low_open=False))
-        for name in ("lambdas", "sigmas"):
+        for name, check in (("lambdas", lambda value, at: check_real(value, at, 0)), ("sigmas", check_sigma)):
             grid = getattr(self, name)
             if grid is None and name == "sigmas":
                 continue
             if not isinstance(grid, (list, tuple, np.ndarray)) or len(grid) == 0:
                 raise InvalidInputError(f"{name} must be a non-empty list of numbers, got {grid!r}")
-            store(name, tuple(check_real(value, f"{name}[{i}]", 0) for i, value in enumerate(grid)))
+            store(name, tuple(check(value, f"{name}[{i}]") for i, value in enumerate(grid)))
 
 
 @dataclass
@@ -165,20 +165,20 @@ def _weights(K_t: np.ndarray, targets: np.ndarray, lams: np.ndarray) -> tuple[np
     ``beta = (K_t + I / lam)^-1 targets`` of those lambdas side by side, an
     (n, U * m) array for U usable lambdas, so that one product serves all.
 
-    A lambda whose spectrum proves ``n cond_2 <= CONDITION_LIMIT`` is solved
-    by the tridiagonal system; every other one, and one whose pivot round-off
+    ``K_t`` is a whole RBF block, both triangles. A lambda that its largest
+    row sum ``r`` proves, ``n (lam r + 1) <= CONDITION_LIMIT``, is solved by
+    the tridiagonal system; every other one, and one whose pivot round-off
     refuses, is decided and solved by a fit's own rule: the Cholesky inverse
     and ``cond_1`` (module docstring)."""
     n, m = targets.shape
     diagonal, off_diagonal, q = _blas.sytrd(K_t)
-    low, high = _blas.stebz(diagonal, off_diagonal)
     rotated = _blas.ormtr(q, targets, transpose=True)  # Q^T targets
+    # n cond_2 <= n (lam r + 1) <= limit
+    proven = n * (lams * K_t.sum(axis=1).max() + 1.0) <= CONDITION_LIMIT
     usable = np.ones(lams.size, dtype=bool)
     y = np.zeros((n, lams.size, m))
     for j, lam in enumerate(lams):
-        # n cond_2 <= limit, without a division; high >= 1 (the trace is n),
-        # so it is false wherever low + 1/lam <= 0
-        if n * (high + 1.0 / lam) <= CONDITION_LIMIT * (low + 1.0 / lam):
+        if proven[j]:
             try:
                 y[:, j] = _blas.ptsv(diagonal + 1.0 / lam, off_diagonal, rotated)
                 continue

@@ -111,28 +111,6 @@ def test_ormtr_applies_q_and_its_transpose(blas, shape):
     assert np.array_equal(b, before)
 
 
-@pytest.mark.parametrize("off", ["random", "zero"])
-def test_stebz_gives_the_extreme_eigenvalues(blas, off):
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 30):
-        d = rng.normal(size=n)
-        e = rng.normal(size=n - 1) if off == "random" else np.zeros(n - 1)
-        w = np.linalg.eigvalsh(tridiagonal(d, e))
-        low, high = blas.stebz(d, e)
-        assert low == pytest.approx(w[0], abs=1e-13) and high == pytest.approx(w[-1], abs=1e-13)
-
-
-@pytest.mark.skipif(_blas.LIBRARY is None, reason="no BLAS library bound")
-def test_stebz_on_near_tied_eigenvalues_gives_the_dense_extremes():
-    # A tridiagonal matrix within about 1e-15 of I: on OpenBLAS, dstebz cannot
-    # isolate eigenvalue n of this draw (n = 29) and returns info 2, having
-    # written IBLOCK(0), before its buffer. The dense extremes stand in.
-    rng = np.random.default_rng(6)
-    n = int(rng.integers(20, 41))
-    d, e = 1.0 + 1e-16 * rng.normal(size=n), 1e-15 * rng.normal(size=n - 1)
-    assert _blas.stebz(d, e) == _blas._stebz_numpy(d, e)
-
-
 @pytest.mark.parametrize("shape", [(30,), (30, 1), (30, 3)])
 @pytest.mark.parametrize("off", ["random", "zero"])
 def test_ptsv_matches_a_dense_solve(blas, shape, off):

@@ -470,8 +470,9 @@ def test_console_entry_point_runs():
 
 
 def test_python_m_okc_select_on_near_identity_folds(tmp_path):
-    # In a child process: on this data dstebz once wrote before its buffer and
-    # corrupted the heap, and a fault should fail this test, not end the run
+    # In a child process, so that a fault fails this test and does not end the
+    # run: on this data LAPACK's bisection (dstebz, which select no longer
+    # calls) once wrote before its buffer and corrupted the heap
     X = near_identity_dataset()
     path = tmp_path / "near_identity.csv"
     save_csv(Dataset(X, np.ones(len(X), dtype=int)), path)

@@ -164,6 +164,8 @@ def test_unusable_delimiter_is_a_usage_error(tmp_path, capsys, command, delimite
     (["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["--sigma", "auto", "--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["--mode", "stationary", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["--sigma", "1e200"], None, "sigma must be a kernel width with 2 sigma^2 positive and finite, got 1e+200"),
+    (["--sigma", "1e-170"], None, "sigma must be a kernel width with 2 sigma^2 positive and finite, got 1e-170"),
 ])
 def test_run_setting_out_of_range_is_a_usage_error(tmp_path, capsys, flags, doc, named):
     spec = write(tmp_path, "spec.json", json.dumps(SPEC))

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from okc import (DegenerateDataError, DimensionError, InvalidInputError, KernelSpec, RegGramState, SelectionConfig,
-                 direct_inverse_oracle, eval_kernel, gram, pairwise_distance_range, select)
+from okc import (DegenerateDataError, DimensionError, InvalidInputError, KernelSpec, RegGramState, RunConfig,
+                 SelectionConfig, direct_inverse_oracle, eval_kernel, gram, pairwise_distance_range, select)
 from okc.models import MODELS
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
@@ -20,6 +20,22 @@ def test_spec_rejects_bad_sigma():
         KernelSpec(sigma=-1.0)
     with pytest.raises(InvalidInputError):
         KernelSpec(sigma=float("nan"))
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e-170])
+def test_a_width_whose_two_sigma_squared_is_not_a_positive_finite_float_is_refused(sigma):
+    # 2 sigma^2 overflows at 1e200 (sigma**2 raises OverflowError) and is 0 at
+    # 1e-170; each setting that holds a width refuses it by name
+    for make, name in [(lambda: KernelSpec(sigma), "sigma"), (lambda: RunConfig(sigma=sigma), "sigma"),
+                       (lambda: SelectionConfig(sigmas=[1.0, sigma]), r"sigmas\[1\]")]:
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be a kernel width with 2 sigma\^2 positive"):
+            make()
+
+
+@pytest.mark.parametrize("sigma", [1e150, 1e-150])
+def test_a_width_whose_two_sigma_squared_is_a_positive_finite_float_is_accepted(sigma):
+    assert KernelSpec(sigma).sigma == RunConfig(sigma=sigma).sigma == SelectionConfig(sigmas=[sigma]).sigmas[0] == sigma
+    assert eval_kernel(KernelSpec(sigma), [0.0], [0.0]) == 1.0
 
 
 def test_eval_kernel_zero_distance_is_one():

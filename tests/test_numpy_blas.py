@@ -23,6 +23,7 @@ from test_selection import (  # noqa: F401
     test_condition_rule_matches_dense_fits_in_band,
     test_held_out_copies_score_as_their_training_rows,
     test_refused_pivot_is_scored_as_a_dense_fit_decides,
+    test_row_sums_prove_every_fold_of_up_to_999_rows_at_lambda_1e8,
     test_select_deterministic_and_matches_dense_reference,
     test_select_fallback_scores_skipped_widths_in_full,
     test_select_matches_dense_reference_on_corpus,

@@ -557,8 +557,9 @@ def test_select_matches_dense_reference_on_corpus():
 
 def near_identity_dataset():
     """A corpus draw whose kernel blocks at the smallest width lie within
-    about 2e-15 of I: on OpenBLAS, dstebz cannot isolate their largest
-    eigenvalue there."""
+    about 2e-15 of I. Their eigenvalues are nearly tied: LAPACK's bisection
+    (``dstebz``, which select no longer calls) could not isolate the largest
+    one there."""
     return corpus_dataset(np.random.default_rng([99, 279]), duplicates=True)
 
 
@@ -659,6 +660,44 @@ def test_refused_pivot_is_scored_as_a_dense_fit_decides(monkeypatch, framework):
                         dense_ok = False
                     assert np.isfinite(err) == dense_ok, (seed, sigma, i, lam)
                 np.testing.assert_array_equal(refused, solved)
+
+
+# ---- the row-sum proof of the condition rule --------------------------------
+
+
+def spy_fit_rule(monkeypatch) -> list[int]:
+    """Record the size of every regularized Gram that select decides by the
+    fit's own rule (``okc.selection._inverse_factor``) from now on."""
+    calls = []
+    inverse_factor = okc.selection._inverse_factor
+
+    def spying(a, *args, **kwargs):
+        calls.append(len(a))
+        return inverse_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(okc.selection, "_inverse_factor", spying)
+    return calls
+
+
+@pytest.mark.parametrize("n, fit_rule_calls", [(999, []), (1000, [1000])])
+def test_row_sums_prove_every_fold_of_up_to_999_rows_at_lambda_1e8(monkeypatch, n, fit_rule_calls):
+    # No RBF block of n rows has a row sum above n, which an all-ones block
+    # reaches: n (1e8 n + 1) <= 1e14 holds up to n = 999, so the default grid
+    # proves such a fold whatever the data. At n = 1000 the proof fails and
+    # the fit's own rule decides, and accepts: cond_1 is about 2e11.
+    calls = spy_fit_rule(monkeypatch)
+    usable, beta = okc.selection._weights(np.ones((n, n)), np.ones((n, 1)), np.array([1e8]))
+    assert calls == fit_rule_calls
+    assert usable.tolist() == [True]
+    assert beta.shape == (n, 1) and np.isfinite(beta).all()
+
+
+def test_select_on_a_500_row_ring_is_proven_by_row_sums(monkeypatch):
+    # The traffic of a deep scan on 400-row folds: every lambda of the default
+    # grid is proven, so the fit's own rule is never called.
+    calls = spy_fit_rule(monkeypatch)
+    select(gen_ring(500, 1.0, 2.0, seed=0).X, "boundary", seed=0)
+    assert calls == []
 
 
 # ---- weights at large lambda against a 30-digit solve ----------------------
